@@ -17,6 +17,10 @@ Reports are accepted in either format:
 - the compact schema this script writes (summary stats only, a few KB),
   recognisable by ``"schema": "repro-bench/compact-v1"``.
 
+A benchmark's ``extra_info`` (e.g. the scale ladder's simulate wall and
+work counters) is kept in the compact form and recorded in the
+trajectory entry under ``"extra"``.
+
 ``--compact-out`` re-writes the report in the compact schema (this is
 how the committed baseline is produced).  ``--trajectory`` merges the
 compact snapshot into a history file keyed by commit id, so the repo
@@ -76,11 +80,15 @@ def to_compact(data: dict) -> dict:
             "cpu": cpu.get("brand_raw"),
             "count": cpu.get("count"),
         },
-        "benchmarks": {
-            b["fullname"]: {k: b["stats"][k] for k in _KEPT_STATS}
-            for b in data["benchmarks"]
-        },
+        "benchmarks": {b["fullname"]: _compact_stats(b) for b in data["benchmarks"]},
     }
+
+
+def _compact_stats(bench: dict) -> dict:
+    stats = {k: bench["stats"][k] for k in _KEPT_STATS}
+    if bench.get("extra_info"):
+        stats["extra_info"] = bench["extra_info"]
+    return stats
 
 
 def means(report: dict) -> Dict[str, float]:
@@ -159,7 +167,8 @@ def update_trajectory(path: Path, report: dict) -> None:
     """Merge ``report`` into the trajectory file under its commit id.
 
     Re-running on the same commit overwrites that commit's entry, so the
-    file stays one snapshot per commit (mean seconds per benchmark).
+    file stays one snapshot per commit (mean seconds per benchmark, plus
+    each benchmark's ``extra_info`` under ``"extra"``).
     """
     if path.exists():
         trajectory = json.loads(path.read_text())
@@ -168,14 +177,16 @@ def update_trajectory(path: Path, report: dict) -> None:
     else:
         trajectory = {"schema": TRAJECTORY_SCHEMA, "runs": {}}
     commit = resolve_commit(report)
-    trajectory["runs"][commit] = {
+    benchmarks = sorted(report["benchmarks"].items())
+    entry = {
         "datetime": report.get("datetime"),
         "machine": report.get("machine"),
-        "benchmarks": {
-            name: round(stats["mean"], 9)
-            for name, stats in sorted(report["benchmarks"].items())
-        },
+        "benchmarks": {name: round(stats["mean"], 9) for name, stats in benchmarks},
     }
+    extra = {name: stats["extra_info"] for name, stats in benchmarks if "extra_info" in stats}
+    if extra:
+        entry["extra"] = extra
+    trajectory["runs"][commit] = entry
     path.write_text(json.dumps(trajectory, indent=2, sort_keys=False) + "\n")
     print(f"trajectory: recorded {commit} in {path}")
 

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.core.kernels import default_backend
+from repro.core.kernels import BACKENDS, default_backend
 from repro.experiments.config import ChurnConfig, ExperimentConfig
 from repro.experiments.scenario import run_scenario
 from repro.sim.shard import ShardConfig
@@ -72,6 +72,65 @@ def test_perf_scenario_with_bank(benchmark):
     cfg = CFG.with_overrides(use_bank=True)
     result = benchmark.pedantic(run_scenario, args=(cfg,), rounds=3, iterations=1)
     assert result.bank_audit_ok
+
+
+# ---------------------------------------------------------------------------
+# Scale ladder: utility-II L3 at 40, 500 and 5000 nodes, both backends
+# ---------------------------------------------------------------------------
+
+#: One workload, three overlay sizes.  Churn and the bank are off so the
+#: simulate phase is routing plus probing; the pair count stays fixed, so
+#: a decision's cost is what changes with the rung.
+LADDER_CFG = ExperimentConfig(
+    seed=123,
+    n_pairs=8,
+    total_transmissions=80,
+    strategy="utility-II",
+    lookahead=3,
+    use_bank=False,
+    churn=ChurnConfig(enabled=False),
+)
+
+#: Exact work per (rung, backend): (edges_scored, spne_states_swept).
+#: Deterministic, so any change to how much either backend scores or
+#: solves shows here, whatever the host's speed.
+LADDER_WORK = {
+    (40, "python"): (14009, 28227),
+    (40, "numpy"): (15200, 45600),
+    (500, "python"): (90996, 37703),
+    (500, "numpy"): (91310, 32044),
+    (5000, "python"): (165352, 41181),
+    (5000, "numpy"): (165385, 40591),
+}
+
+_ladder_paths = {}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("n_nodes", [40, 500, 5000])
+def test_perf_scale_ladder(benchmark, n_nodes, backend):
+    cfg = LADDER_CFG.with_overrides(n_nodes=n_nodes, backend=backend)
+    simulate = []
+
+    def run():
+        result = run_scenario(cfg)
+        simulate.append(result.phase_timings["simulate"])
+        return result
+
+    result = benchmark.pedantic(run, rounds=2, iterations=1)
+    perf = result.perf_counters
+    work = (perf["edges_scored"], perf["spne_states_swept"])
+    benchmark.extra_info.update(
+        simulate_s=min(simulate),
+        edges_scored=work[0],
+        spne_states_swept=work[1],
+    )
+    assert work == LADDER_WORK[(n_nodes, backend)]
+    assert (perf["kernel_calls"] > 0) == (backend == "numpy")
+    # Both backends must route every rung identically.
+    paths = [tuple(p.nodes) for log in result.series_logs for p in log.paths]
+    other = _ladder_paths.setdefault(n_nodes, paths)
+    assert paths == other
 
 
 # ---------------------------------------------------------------------------

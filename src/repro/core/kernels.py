@@ -13,15 +13,11 @@ of vectorised kernels:
   version counters (``neighbors_version``, ``availability_version``,
   ``liveness_version``) and the arrays are rebuilt or patched only when
   a remembered version no longer matches.
-- :class:`BatchPlanner` — the round-level batch planner.  It keeps one
-  :class:`Frontier` per open connection (derived per-``(cid, round)``
-  state: the per-edge quality row, liveness masks, SPNE value tables)
-  and, when any connection needs its full quality row, rebuilds *all*
-  stale prepared frontiers in one stacked ``(connections, edges)``
-  kernel invocation.  ``PathBuilder`` announces upcoming rounds through
-  :meth:`BatchPlanner.prepare` right after committing a path, so a
-  heavy-traffic scenario scores many connections' next rounds inside a
-  single numpy call instead of one call per connection.
+- :class:`BatchPlanner` — the decision planner.  It keeps one
+  :class:`Frontier` per open connection: the round's derived state
+  (per-node quality slices, liveness masks, SPNE value tables with a
+  per-level "solved" mask), so every hop of a round reuses what an
+  earlier hop already scored or solved.
 - ``BatchPlanner.decide_model1`` / ``decide_model2`` — batched
   replacements for the scalar ``select_next_hop`` bodies.
 
@@ -48,20 +44,34 @@ RNG stream aligned:
    Cost vectors are therefore computed by a plain Python loop over the
    candidate ids in scalar candidate order, only for top-level
    decisions — never eagerly, never batched — so first-use draws happen
-   at exactly the same points of the run.  Quality rows and SPNE tables
-   touch no RNG at all, which is what makes speculative cross-
-   connection batching sound.
+   at exactly the same points of the run.  Quality slices and SPNE
+   tables touch no RNG at all, so the order in which a cone is scored
+   and solved is free.
 
-**Backward induction as edge states.**  A memo state of the scalar
-Model II recursion is ``(node, predecessor, depth)``; since the
-predecessor is always the node that forwarded here, the reachable
-states at each depth are exactly the *directed edges* of the overlay.
-The induction therefore runs level-synchronously over one flat array of
-per-(state, child) entries: gather the previous level's values through
-``st_child_edge``, form candidate means, and reduce per state with
-``np.maximum.reduceat`` (first-maximum index via a positional
-``np.minimum.reduceat``), reproducing the scalar loop's strict-``>``
-first-winner tie behaviour.
+**Backward induction as edge states, over the decision's cone.**  A
+memo state of the scalar Model II recursion is ``(node, predecessor,
+depth)``; since the predecessor is always the node that forwarded here,
+the states at each depth are *directed edges* of the overlay, and a
+decision with lookahead ``L`` depends only on the edges within ``L``
+hops of the deciding node — its cone.  ``decide_model2`` walks that
+cone breadth-first from the candidate edges: level ``L`` holds the
+candidate edges, and each lower level holds the valid children
+(``st_child_edge``, filtered by the no-backtracking and liveness rule)
+of the level above, minus the states the round has already solved.
+Only the out-edges of cone nodes are scored, and the level step runs
+bottom-up on each gathered subset: gather the previous level's values
+through the local child table, form candidate means, and reduce per
+state with ``np.maximum.reduceat`` (first-maximum index via a
+positional ``np.minimum.reduceat``), reproducing the scalar loop's
+strict-``>`` first-winner tie behaviour.  A full cone is exactly the
+set of the scalar memo's keys, so a decision costs O(its cone), not
+O(world):
+about 100-150 states at degree 5 and ``L=3``, whatever the overlay
+size.  Solved states stay in the frontier's level tables for the rest
+of the round.  When the cone's estimated size times
+:data:`CONE_WHOLE_AXIS_SHARE` reaches the edge count (small worlds),
+the same level step sweeps the whole axis instead, once, and every
+later hop of the round is a table lookup.
 
 **Position-aware selectivity.**  ``position_aware_selectivity=True``
 conditions ``sigma`` on the upstream hop.  In state space that is
@@ -73,30 +83,33 @@ the deciding node's own slice against the *actual* predecessor
 directly (the edge ``predecessor -> node`` need not exist in the CSR —
 neighbour sets are not symmetric), cached per ``(node, predecessor)``.
 
-**Snapshot semantics.**  Quality, availability and topology are
-snapshotted per ``(cid, round)`` — the same contract the scalar caches
-document (histories commit after the round; probe counters advance
-between rounds).  Frontier quality state carries a freshness token
-``(round_index, WorldArrays.alpha_generation)`` so a speculatively
-pre-built row is dropped, never misused, when probing moved
-availability before the round actually ran.  Liveness is snapshotted
-per formation *attempt*: ``ForwardingContext.begin_attempt`` observes
+**Snapshot semantics.**  Quality and availability are snapshotted per
+context and round index — exactly the lifetime of the scalar backend's
+edge-quality cache (histories commit after the round; probe counters
+advance between rounds).  A node's availability slice is re-read, if
+its ``availability_version`` moved, when the node's edges are first
+scored in that epoch; topology is checked once per context.  Liveness
+is snapshotted per formation *attempt*:
+``ForwardingContext.begin_attempt`` observes
 ``Overlay.liveness_version`` so a mid-round crash (fault injection)
 refreshes the candidate world for the next attempt on both backends.
 
-**Small-world crossover.**  The kernels win on batch size; on tiny
-candidate sets the array bookkeeping costs more than the scalar loop
-(measured ~3x slower for Model I at degree 5).  Dispatch therefore
-stays scalar below :data:`MODEL1_KERNEL_MIN_CANDIDATES` candidates
-(Model I) / :data:`MODEL2_KERNEL_MIN_NODES` overlay nodes (Model II)
-unless the context disables the crossover.  Both branches are
-bit-identical, so mixing them within one run is sound.
+**Small-world crossover.**  Model II has none: a decision costs its
+cone on every world size, and the numpy backend beats the scalar
+reference on every rung of the scale ladder, 40 nodes included (see
+docs/PERFORMANCE.md).  Model I scores one candidate row per decision,
+and on tiny rows the array bookkeeping costs more than the scalar loop
+(measured ~3x slower at degree 5), so its dispatch stays scalar below
+:data:`MODEL1_KERNEL_MIN_CANDIDATES` candidates unless the context
+disables the crossover.  Both branches are bit-identical, so mixing
+them within one run is sound.
 """
 
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+import weakref
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -118,10 +131,21 @@ BACKEND_ENV = "REPRO_BACKEND"
 #: loop over (measured crossover on the hotpath benchmarks).
 MODEL1_KERNEL_MIN_CANDIDATES = 12
 
-#: Model II stays scalar below this many overlay nodes: the SPNE tables
-#: batch over every directed edge, so the win scales with the edge
-#: count, not the candidate count.
-MODEL2_KERNEL_MIN_NODES = 20
+#: A Model II solve sweeps the whole state axis instead of the cone
+#: when the cone's estimated size times this share reaches the edge
+#: count.  A whole-axis level serves every later hop of the round, a
+#: cone level only its own decision; on small worlds the cone covers
+#: most of the axis anyway, so one sweep per round beats one cone walk
+#: per hop.  Measured at degree 5, L=3 (scale-ladder workload, median
+#: simulate of 7 runs, whole-axis time / cone time): 0.43 at 40 nodes,
+#: 0.72 at 200, 0.85 at 300, 1.04 at 400, 1.07 at 500, 1.62 at 600 and
+#: 2.04 at 800.  A cone estimate is ~125-155 states there, so 12
+#: switches to the cone at ~300-370 nodes, just below that crossover.
+#: Forcing the cone everywhere (share 0) cost ``paper-u2l3`` (40 nodes)
+#: 66 % on ``wall_s`` and 40 % on ``rounds_per_s`` over 10 alternating
+#: perfbench pairs, beyond the benchmark's 0.25 bound
+#: (docs/PERFORMANCE.md, "The small-world crossover").
+CONE_WHOLE_AXIS_SHARE = 12
 
 #: Frontier cache bound per planner (oldest evicted first).  Generous:
 #: a frontier is a handful of per-edge arrays, and scenarios keep well
@@ -175,41 +199,43 @@ class WorldArrays:
     ``st_child_edge``     Flat child -> edge index gather table.
     ``st_child_not_pred`` Per child: head differs from the state's
                           predecessor (the no-backtracking filter).
-    ``child_pos``         ``arange`` over the flat child axis.
 
     Invalidation: :meth:`ensure_fresh` rebuilds the topology (and bumps
     ``generation``) when any node's ``neighbors_version`` moved or the
-    node population changed, and re-patches per-node ``alpha_flat``
-    slices whose ``availability_version`` moved (bumping
-    ``alpha_generation``, the token frontier quality rows key on).
-    Liveness is *not* stored here — it changes mid-round under fault
-    injection and is masked per :class:`Frontier`.
+    node population changed.  Availability is checked per node, not per
+    world: :meth:`refresh_alpha` re-reads a node's ``alpha_flat`` slice
+    when its ``availability_version`` moved, and the planner calls it
+    only for the nodes whose edges it is about to score.  A probe sweep
+    that touches every node therefore costs nothing until a decision's
+    cone reaches the node.  Liveness is *not* stored here — it changes
+    mid-round under fault injection and is masked per :class:`Frontier`.
     """
 
     def __init__(self, overlay: "Overlay") -> None:
         self.overlay = overlay
         #: Bumped on every topology rebuild; frontiers compare against it.
         self.generation = 0
-        #: Bumped whenever any ``alpha_flat`` slice is re-patched; part
-        #: of the quality-row freshness token, so rows pre-built for a
-        #: future round survive exactly until availability moves.
-        self.alpha_generation = 0
         self.size = 0
         self.n_edges = 0
         self.indptr: Optional[np.ndarray] = None
+        #: ``indptr`` as a Python list, for per-node slice offsets in
+        #: Python loops (no numpy scalar boxing per lookup).
+        self.starts: List[int] = []
         self.nbr_flat = np.zeros(0, dtype=np.int64)
         self.owner_flat = np.zeros(0, dtype=np.int64)
         self.alpha_flat = np.zeros(0, dtype=np.float64)
         self.nbr_lists: Dict[int, List[int]] = {}
+        #: Out-degree per node id, and the ids with at least one edge.
+        self.deg = np.zeros(0, dtype=np.int64)
+        self.owners = np.zeros(0, dtype=np.int64)
         self.st_counts = np.zeros(0, dtype=np.int64)
         self.st_red_idx = np.zeros(0, dtype=np.int64)
         self.st_child_edge = np.zeros(0, dtype=np.int64)
         self.st_child_not_pred = np.zeros(0, dtype=bool)
-        self.child_pos = np.zeros(0, dtype=np.int64)
         #: Unclipped per-state child offsets (``st_offsets[s]`` is the
         #: first flat-child index of state ``s``; length ``n_edges+1``).
-        #: The sharded engine partitions the state axis by bisecting
-        #: this for balanced per-worker child counts.
+        #: A cone walk gathers a state's children from here; the sharded
+        #: engine bisects it for balanced per-worker child counts.
         self.st_offsets = np.zeros(1, dtype=np.int64)
         self._nbr_versions: Dict[int, int] = {}
         self._alpha_versions: Dict[int, int] = {}
@@ -225,11 +251,11 @@ class WorldArrays:
 
     # -- freshness ---------------------------------------------------------
     def ensure_fresh(self) -> None:
-        """Bring topology and availability arrays up to date (cheap when
-        nothing changed: one version compare per node)."""
+        """Bring the topology arrays up to date (O(1) when nothing
+        changed and every node is wired to the overlay's aggregate
+        counter; one version compare per node otherwise)."""
         if self._topology_stale():
             self._rebuild_topology()
-        self._refresh_alpha()
 
     def _topology_stale(self) -> bool:
         if self.indptr is None:
@@ -287,7 +313,10 @@ class WorldArrays:
 
         self.size = size
         self.n_edges = n_edges
+        self.deg = deg
+        self.owners = np.flatnonzero(deg)
         self.indptr = indptr
+        self.starts = indptr.tolist()
         self.nbr_flat = nbr_flat
         self.owner_flat = owner_flat
         self.nbr_lists = nbr_lists
@@ -317,12 +346,10 @@ class WorldArrays:
             self.st_red_idx = np.zeros(0, dtype=np.int64)
             self.st_child_edge = np.zeros(0, dtype=np.int64)
             self.st_child_not_pred = np.zeros(0, dtype=bool)
-            self.child_pos = np.zeros(0, dtype=np.int64)
             self.st_offsets = np.zeros(1, dtype=np.int64)
             return
-        deg = np.diff(self.indptr)
         head = self.nbr_flat
-        st_counts = deg[head]
+        st_counts = self.deg[head]
         offsets = np.concatenate(
             ([0], np.cumsum(st_counts))
         ).astype(np.int64, copy=False)
@@ -336,7 +363,6 @@ class WorldArrays:
         if total == 0:
             self.st_child_edge = np.zeros(0, dtype=np.int64)
             self.st_child_not_pred = np.zeros(0, dtype=bool)
-            self.child_pos = np.zeros(0, dtype=np.int64)
             return
         # Segmented arange: child c of state e maps to CSR entry
         # indptr[head(e)] + (c's rank within the segment).
@@ -347,30 +373,34 @@ class WorldArrays:
         pred_rep = np.repeat(self.owner_flat, st_counts)
         self.st_child_edge = child_edge
         self.st_child_not_pred = child_ids != pred_rep
-        self.child_pos = pos
 
-    def _refresh_alpha(self) -> None:
+    def refresh_alpha(self, node_ids: List[int]) -> None:
+        """Re-read the ``alpha_flat`` slice of every listed node whose
+        ``availability_version`` moved since its slice was last read.
+
+        Callers pass only nodes that own at least one edge.  The values
+        are each node's own cached normalisation: these are the exact
+        floats the scalar backend scores with (re-summing in numpy would
+        round differently).
+        """
         nodes = self.overlay.nodes
         avers = self._alpha_versions
-        starts = self.indptr.tolist()
+        starts = self.starts
+        nbr_lists = self.nbr_lists
         alpha = self.alpha_flat
-        touched = False
-        for nid, lst in self.nbr_lists.items():
+        refreshed = False
+        for nid in node_ids:
             node = nodes[nid]
             ver = node.availability_version
             if avers.get(nid) == ver:
                 continue
-            if lst:
-                # Read the node's own cached normalisation: these are the
-                # exact floats the scalar backend scores with (re-summing
-                # in numpy would round differently).
-                av = node.availability_vector()
-                start = starts[nid]
-                alpha[start : start + len(lst)] = [av[j] for j in lst]
+            lst = nbr_lists[nid]
+            av = node.availability_vector()
+            start = starts[nid]
+            alpha[start : start + len(lst)] = [av[j] for j in lst]
             avers[nid] = ver
-            touched = True
-        if touched:
-            self.alpha_generation += 1
+            refreshed = True
+        if refreshed:
             self._perf.array_rebuilds += 1
 
 
@@ -460,33 +490,66 @@ def spne_level_step(
     out_n[st_dead] = 0
 
 
+def _refers_to(ref: Optional[weakref.ref], obj: object) -> bool:
+    return ref is not None and ref() is obj
+
+
+def _segments(starts: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat positions of the concatenated segments ``[start, start +
+    count)``, plus each segment's offset into that flat axis."""
+    offs = np.cumsum(counts) - counts
+    total = int(offs[-1] + counts[-1]) if counts.size else 0
+    pos = np.repeat(starts - offs, counts) + np.arange(total, dtype=np.int64)
+    return pos, offs
+
+
+class _ConeLevel(NamedTuple):
+    """One level of a backward-induction sweep: the states to solve with
+    ``depth`` edges of lookahead left and their gathered child axis.
+
+    ``states``/``slots`` are ``None`` for a whole-axis sweep (every
+    state, the world's own child tables); otherwise ``states`` are edge
+    ids and ``slots`` their children's positions on the world's flat
+    child axis, with ``child_edge``, ``counts``, ``red_idx`` and the
+    validity masks local to the gathered subset.
+    """
+
+    depth: int
+    states: Optional[np.ndarray]
+    slots: Optional[np.ndarray]
+    child_edge: np.ndarray
+    counts: np.ndarray
+    red_idx: np.ndarray
+    st_valid: np.ndarray
+    st_dead: np.ndarray
+
+
 class Frontier:
     """Per-connection derived state inside a :class:`BatchPlanner`.
 
-    Three epochs, invalidated independently by freshness tokens:
+    Two epochs, invalidated independently:
 
-    - quality (``q_flat``/``q_child``/``pos_q_cache``): keyed
-      ``(round_index, WorldArrays.alpha_generation)`` — history commits
-      advance the round, probe sweeps advance ``alpha_generation``;
-    - liveness (``valid0``/``st_valid``/``st_dead`` and the cost
-      cache): keyed ``Overlay.liveness_version``;
-    - SPNE value tables (``levels_*``): keyed on both plus the
-      position-aware flag.
+    - quality and SPNE values (``q_*``, ``pos_q_cache``, ``levels_*``):
+      one :class:`~repro.core.routing.ForwardingContext` at one round
+      index — exactly the lifetime of the scalar backend's per-round
+      edge-quality cache.  Within the epoch every slice is scored once
+      and every solved state is kept, so later hops of the round reuse
+      whatever an earlier hop's cone already covered.  The level values
+      additionally key on the liveness token and the position-aware flag;
+    - liveness (``valid0``/``st_valid``/``st_dead`` and the cost cache):
+      keyed ``Overlay.liveness_version`` and the responder.
     """
 
     __slots__ = (
         "cid",
-        "round_index",
         "responder",
         "generation",
-        "wants_full_row",
-        "prepared",
+        "epoch",
+        "round_index",
         "q_flat",
         "q_built",
-        "row_complete",
-        "q_token",
         "q_child",
-        "q_child_token",
+        "q_child_built",
         "pos_q_cache",
         "valid0",
         "st_valid",
@@ -494,140 +557,125 @@ class Frontier:
         "liveness_token",
         "levels_sum",
         "levels_n",
-        "levels_token",
+        "levels_done",
+        "levels_key",
         "cost_cache",
     )
 
-    def __init__(self, cid: int, round_index: int, responder: int) -> None:
+    def __init__(self, cid: int, responder: int) -> None:
         self.cid = cid
-        self.round_index = round_index
         self.responder = responder
         self.generation = -1
-        #: True once any Model II decision needed the full quality row —
-        #: only such connections are worth pre-building into batches.
-        self.wants_full_row = False
-        #: Set by :meth:`BatchPlanner.prepare`, cleared after one
-        #: speculative build: each announced round buys at most one
-        #: pre-built row, so retired connections never leak work into
-        #: later batches.
-        self.prepared = False
+        #: Weak reference to the context the quality epoch belongs to
+        #: (with ``round_index``).  Weak, so a finished round's context
+        #: and its caches are freed as soon as the protocol drops it.
+        self.epoch: Optional[weakref.ref] = None
+        self.round_index = -1
         self.q_flat = np.zeros(0, dtype=np.float64)
+        #: Per node id: its out-edge slice of ``q_flat`` is scored.
         self.q_built = np.zeros(0, dtype=bool)
-        self.row_complete = False
-        self.q_token: Optional[Tuple[int, int]] = None
+        #: Position-aware base quality on the flat child axis, scored
+        #: per state (``q_child_built`` is indexed by edge/state id).
         self.q_child: Optional[np.ndarray] = None
-        self.q_child_token: Optional[Tuple[int, int]] = None
+        self.q_child_built: Optional[np.ndarray] = None
         self.pos_q_cache: Dict[Tuple[int, int], np.ndarray] = {}
         self.valid0: Optional[np.ndarray] = None
         self.st_valid: Optional[np.ndarray] = None
         self.st_dead: Optional[np.ndarray] = None
         self.liveness_token: Optional[int] = None
-        self.levels_sum: Optional[List[np.ndarray]] = None
-        self.levels_n: Optional[List[np.ndarray]] = None
-        self.levels_token: Optional[tuple] = None
+        #: ``levels_sum[d][e]``/``levels_n[d][e]``: the scalar memo's
+        #: ``(best_sum, best_n)`` for state ``e`` with ``d`` edges of
+        #: lookahead left, valid where ``levels_done[d][e]``.
+        self.levels_sum: List[np.ndarray] = []
+        self.levels_n: List[np.ndarray] = []
+        self.levels_done: List[np.ndarray] = []
+        self.levels_key: Optional[tuple] = None
         self.cost_cache: Dict[Tuple[int, Optional[int]], np.ndarray] = {}
 
 
 class BatchPlanner:
-    """Round-level batch planner: one per :class:`PathBuilder` (or per
-    bare context), holding one :class:`Frontier` per open connection
-    over a shared :class:`WorldArrays`.
+    """Model I/II decisions over a shared :class:`WorldArrays`: one per
+    :class:`PathBuilder` (or per bare context), holding one
+    :class:`Frontier` per open connection.
 
     All contexts routed through one planner must share ``histories``
     and ``weights`` (true for every context a single ``PathBuilder``
-    creates) — quality rows are built from them without re-reading per
-    decision.  Contract payloads and responders may differ per
+    creates) — quality slices are built from them without re-reading
+    per decision.  Contract payloads and responders may differ per
     connection; they live on the frontier.
     """
 
     def __init__(self, world: WorldArrays) -> None:
         self.world = world
         self.frontiers: Dict[int, Frontier] = {}
-        #: High-water mark of frontiers scored in one stacked kernel
-        #: call — the cross-connection batching observable.
-        self.max_batched_frontiers = 0
-        self._last_key: Optional[Tuple[int, int]] = None
         self._mask: Optional[np.ndarray] = None
         self._mask_key: Optional[Tuple[int, int]] = None
         self._perf = PERF.counters
 
     # -- announcements -----------------------------------------------------
     def prepare(self, cid: int, round_index: int, responder: int) -> None:
-        """Announce that connection ``cid`` will next build
-        ``round_index`` — called by the protocol layer right after a
-        path commit, when the round's history is final.
+        """Round-commit hook, called by the protocol layer right after
+        connection ``cid`` commits a path; a no-op.
 
-        Cheap: no arrays are touched here.  The frontier is only marked
-        eligible for the next stacked quality build, so another
-        connection's decision computes this one's row for free.  If the
-        prediction misses (cid rotation re-keyed the epoch, probing
-        moved availability first), the freshness token discards the row
-        — speculation is never observable, only faster.
+        Nothing can be pre-built: quality and SPNE values belong to the
+        context of the round that scores them, and the next round's new
+        context starts a new epoch in :meth:`_frontier` on its own.  The
+        hook stays so the commit point remains a named, traceable call
+        (``perfbench/layers.py`` wraps it).
         """
-        fr = self.frontiers.get(cid)
-        if fr is None:
-            fr = self._new_frontier(cid, round_index, responder)
-        fr.round_index = round_index
-        fr.responder = responder
-        fr.prepared = True
 
     # -- frontier bookkeeping ----------------------------------------------
-    def _new_frontier(self, cid: int, round_index: int, responder: int) -> Frontier:
+    def _new_frontier(self, cid: int, responder: int) -> Frontier:
         if len(self.frontiers) >= MAX_FRONTIERS:
             self.frontiers.pop(next(iter(self.frontiers)))
-        fr = Frontier(cid, round_index, responder)
+        fr = Frontier(cid, responder)
         self.frontiers[cid] = fr
         return fr
 
     def _reset_frontier(self, fr: Frontier) -> None:
+        """Re-size a frontier to a rebuilt topology."""
         world = self.world
         fr.generation = world.generation
+        fr.epoch = None
         fr.q_flat = np.zeros(world.n_edges, dtype=np.float64)
         fr.q_built = np.zeros(world.size, dtype=bool)
-        fr.row_complete = world.n_edges == 0
-        fr.q_token = None
         fr.q_child = None
-        fr.q_child_token = None
+        fr.q_child_built = None
         fr.pos_q_cache = {}
         fr.valid0 = None
         fr.st_valid = None
         fr.st_dead = None
         fr.liveness_token = None
-        fr.levels_sum = None
-        fr.levels_n = None
-        fr.levels_token = None
+        fr.levels_sum = []
+        fr.levels_n = []
+        fr.levels_done = []
+        fr.levels_key = None
         fr.cost_cache = {}
 
-    def _sync_round_token(self, fr: Frontier) -> None:
-        tok = (fr.round_index, self.world.alpha_generation)
-        if fr.q_token != tok:
-            fr.q_token = tok
-            fr.row_complete = self.world.n_edges == 0
-            fr.q_built[:] = False
-            fr.pos_q_cache.clear()
-            fr.q_child = None
-            fr.q_child_token = None
+    def _reset_quality(self, fr: Frontier) -> None:
+        """Start a new quality epoch: nothing scored, nothing solved."""
+        fr.q_built[:] = False
+        if fr.q_child_built is not None:
+            fr.q_child_built[:] = False
+        fr.pos_q_cache.clear()
+        fr.levels_key = None
 
     def _frontier(self, context: "ForwardingContext", node_id: int) -> Frontier:
         """The synced frontier for the context's connection.
 
-        ``WorldArrays.ensure_fresh`` (the O(nodes) version scan) runs
-        once per ``(cid, round)`` — between decisions of one round only
-        liveness can move, and that has its own token.
+        ``WorldArrays.ensure_fresh`` runs once per quality epoch —
+        between decisions of one round only liveness can move, and that
+        has its own token.
         """
         world = self.world
-        key = (context.cid, context.round_index)
-        if key != self._last_key:
-            world.ensure_fresh()
-            self._last_key = key
-        elif world.indptr is None or node_id + 1 >= world.indptr.size:
-            world.ensure_fresh()
         fr = self.frontiers.get(context.cid)
         if fr is None:
-            fr = self._new_frontier(
-                context.cid, context.round_index, context.responder
-            )
-        fr.round_index = context.round_index
+            fr = self._new_frontier(context.cid, context.responder)
+        new_epoch = (
+            not _refers_to(fr.epoch, context) or fr.round_index != context.round_index
+        )
+        if new_epoch or world.indptr is None or node_id + 1 >= world.indptr.size:
+            world.ensure_fresh()
         if fr.generation != world.generation:
             self._reset_frontier(fr)
         if fr.responder != context.responder:
@@ -636,9 +684,12 @@ class BatchPlanner:
             fr.st_valid = None
             fr.st_dead = None
             fr.liveness_token = None
-            fr.levels_token = None
+            fr.levels_key = None
             fr.cost_cache.clear()
-        self._sync_round_token(fr)
+        if new_epoch or fr.epoch is None:
+            fr.epoch = weakref.ref(context)
+            fr.round_index = context.round_index
+            self._reset_quality(fr)
         return fr
 
     # -- liveness ----------------------------------------------------------
@@ -660,9 +711,9 @@ class BatchPlanner:
         nbr = world.nbr_flat
         online = self._online_mask()
         fr.valid0 = online[nbr] & (nbr != fr.responder)
-        # State-level (SPNE) validity is derived lazily: Model I
-        # decisions never touch it, and it is ~branching-factor times
-        # larger than the edge axis.
+        # Whole-axis SPNE validity is derived lazily: Model I decisions
+        # and cone sweeps never touch it, and it is ~branching-factor
+        # times larger than the edge axis.
         fr.st_valid = None
         fr.st_dead = None
         fr.cost_cache.clear()
@@ -684,148 +735,95 @@ class BatchPlanner:
         )
 
     # -- quality -----------------------------------------------------------
-    def _ensure_q_node(self, fr: Frontier, context: "ForwardingContext", node_id: int) -> None:
-        """Lazily score one node's slice (Model I touches only the
-        deciding node's row; also the root row under position-aware
-        scoring with no predecessor)."""
-        if fr.row_complete or fr.q_built[node_id]:
-            return
-        world = self.world
-        start = int(world.indptr[node_id])
-        end = int(world.indptr[node_id + 1])
-        if start == end:
-            fr.q_built[node_id] = True
-            return
-        nbrs = world.nbr_lists[node_id]
-        hits = context.histories[node_id].selectivity_hits_block(
-            fr.cid, nbrs, fr.round_index
-        )
-        max_entries = fr.round_index - 1
+    def _quality(
+        self,
+        context: "ForwardingContext",
+        round_index: int,
+        hits: "List[int] | np.ndarray",
+        alpha: np.ndarray,
+    ) -> np.ndarray:
+        """``clamp(w_s*sigma + w_a*alpha)`` over a block of hit counts —
+        the scalar ``edge_quality`` expression tree, element-wise."""
+        max_entries = round_index - 1
         if max_entries == 0:
-            sigma = np.zeros(end - start, dtype=np.float64)
+            sigma = np.zeros(alpha.size, dtype=np.float64)
         else:
             sigma = np.minimum(
                 1.0, np.asarray(hits, dtype=np.float64) / max_entries
             )
         weights = context.weights
-        q = (
-            weights.selectivity * sigma
-            + weights.availability * world.alpha_flat[start:end]
-        )
-        fr.q_flat[start:end] = np.minimum(1.0, np.maximum(0.0, q))
-        fr.q_built[node_id] = True
+        q = weights.selectivity * sigma + weights.availability * alpha
         perf = self._perf
         perf.kernel_calls += 1
-        perf.kernel_batch_elements += end - start
-        perf.edges_scored += end - start
+        perf.kernel_batch_elements += int(alpha.size)
+        perf.edges_scored += int(alpha.size)
+        return np.minimum(1.0, np.maximum(0.0, q))
 
-    def _ensure_full_rows(self, fr: Frontier, context: "ForwardingContext") -> None:
-        """The cross-connection quality kernel: stack every stale
-        prepared frontier's hit counts into one ``(F, E)`` matrix and
-        score all rows with a single vectorised expression.
+    def _ensure_q_nodes(
+        self, fr: Frontier, context: "ForwardingContext", node_ids: np.ndarray
+    ) -> None:
+        """Score the out-edge slices of the listed nodes that this epoch
+        has not scored yet, in one vectorised expression.
 
-        Per-frontier hit gathering stays a Python loop of bisects (rule
-        1 of the bit-identity contract), but the arithmetic — the part
-        that used to run once per node per connection — runs once per
-        batch.  Rows are element-wise independent, so co-batching can
-        never change a row's bits.
+        Hit counts stay a Python loop of per-node bisect blocks (rule 1
+        of the bit-identity contract); availability is re-read per node
+        just before its slice is scored.
         """
-        fr.wants_full_row = True
-        if fr.row_complete:
-            return
         world = self.world
-        members = [fr]
-        for other in self.frontiers.values():
-            if other is fr or not (other.wants_full_row and other.prepared):
-                continue
-            other.prepared = False
-            if other.generation != world.generation:
-                self._reset_frontier(other)
-            self._sync_round_token(other)
-            if not other.row_complete:
-                members.append(other)
-        n_edges = world.n_edges
-        hits_mat = np.empty((len(members), n_edges), dtype=np.float64)
-        histories = context.histories
-        for i, member in enumerate(members):
-            row: List[int] = []
-            extend = row.extend
-            cid, rnd = member.cid, member.round_index
-            for nid, lst in world.nbr_lists.items():
-                if lst:
-                    extend(
-                        histories[nid].selectivity_hits_block(cid, lst, rnd)
-                    )
-            hits_mat[i, :] = row
-        max_entries = np.array(
-            [float(member.round_index - 1) for member in members],
-            dtype=np.float64,
-        )
-        # Round-1 rows have all-zero hits, so any positive divisor
-        # reproduces the scalar "no history yet -> sigma = 0" branch.
-        safe = np.where(max_entries > 0.0, max_entries, 1.0)
-        sigma = np.minimum(1.0, hits_mat / safe[:, None])
-        weights = context.weights
-        q = (
-            weights.selectivity * sigma
-            + weights.availability * world.alpha_flat[None, :]
-        )
-        q = np.minimum(1.0, np.maximum(0.0, q))
-        alpha_gen = world.alpha_generation
-        for member, q_row in zip(members, q):
-            member.q_flat = q_row
-            member.q_built = np.ones(world.size, dtype=bool)
-            member.row_complete = True
-            member.q_token = (member.round_index, alpha_gen)
-        if len(members) > self.max_batched_frontiers:
-            self.max_batched_frontiers = len(members)
-        perf = self._perf
-        perf.kernel_calls += 1
-        perf.kernel_batch_elements += int(q.size)
-        perf.edges_scored += int(q.size)
-
-    def _ensure_q_child(self, fr: Frontier, context: "ForwardingContext") -> None:
-        """Position-aware base quality per (state, child): the edge
-        ``head(e) -> child`` scored against selectivity conditioned on
-        ``owner(e)`` — the predecessor the SPNE state already encodes."""
-        tok = (fr.round_index, self.world.alpha_generation)
-        if fr.q_child is not None and fr.q_child_token == tok:
+        deg = world.deg
+        todo = node_ids[~fr.q_built[node_ids]]
+        todo = todo[deg[todo] > 0]
+        if todo.size == 0:
             return
-        world = self.world
-        total = int(world.st_child_edge.size)
+        ids = todo.tolist()
+        world.refresh_alpha(ids)
         histories = context.histories
+        nbr_lists = world.nbr_lists
         cid, rnd = fr.cid, fr.round_index
         hits: List[int] = []
         extend = hits.extend
-        heads = world.nbr_flat.tolist()
-        owners = world.owner_flat.tolist()
-        nbr_lists = world.nbr_lists
-        for e in range(len(heads)):
-            lst = nbr_lists.get(heads[e])
-            if lst:
-                extend(
-                    histories[heads[e]].selectivity_hits_block_pos(
-                        cid, owners[e], lst, rnd
-                    )
-                )
-        max_entries = rnd - 1
-        if max_entries == 0:
-            sigma = np.zeros(total, dtype=np.float64)
+        for nid in ids:
+            extend(histories[nid].selectivity_hits_block(cid, nbr_lists[nid], rnd))
+        if todo.size == world.owners.size:
+            edges: "slice | np.ndarray" = slice(None)  # every slice, in CSR order
         else:
-            sigma = np.minimum(
-                1.0, np.asarray(hits, dtype=np.float64) / max_entries
+            edges = _segments(world.indptr[todo], deg[todo])[0]
+        fr.q_flat[edges] = self._quality(context, rnd, hits, world.alpha_flat[edges])
+        fr.q_built[todo] = True
+
+    def _ensure_q_child(
+        self, fr: Frontier, context: "ForwardingContext", states: np.ndarray
+    ) -> None:
+        """Position-aware base quality for the children of ``states``:
+        the edge ``head(e) -> child`` scored against selectivity
+        conditioned on ``owner(e)`` — the predecessor the SPNE state
+        already encodes."""
+        world = self.world
+        q_child, built = fr.q_child, fr.q_child_built
+        if q_child is None or built is None:
+            q_child = fr.q_child = np.zeros(world.st_child_edge.size, dtype=np.float64)
+            built = fr.q_child_built = np.zeros(world.n_edges, dtype=bool)
+        todo = states[~built[states]]
+        todo = todo[world.st_counts[todo] > 0]
+        if todo.size == 0:
+            return
+        heads = world.nbr_flat[todo]
+        world.refresh_alpha(np.unique(heads).tolist())
+        histories = context.histories
+        nbr_lists = world.nbr_lists
+        cid, rnd = fr.cid, fr.round_index
+        hits: List[int] = []
+        extend = hits.extend
+        for head, owner in zip(heads.tolist(), world.owner_flat[todo].tolist()):
+            extend(
+                histories[head].selectivity_hits_block_pos(
+                    cid, owner, nbr_lists[head], rnd
+                )
             )
-        weights = context.weights
-        q = (
-            weights.selectivity * sigma
-            + weights.availability * world.alpha_flat[world.st_child_edge]
-        )
-        fr.q_child = np.minimum(1.0, np.maximum(0.0, q))
-        fr.q_child_token = tok
-        perf = self._perf
-        perf.kernel_calls += 1
-        perf.kernel_batch_elements += total
-        perf.edges_scored += total
+        slots, _ = _segments(world.st_offsets[todo], world.st_counts[todo])
+        alpha = world.alpha_flat[world.st_child_edge[slots]]
+        q_child[slots] = self._quality(context, rnd, hits, alpha)
+        built[todo] = True
 
     def _pos_q(
         self, fr: Frontier, context: "ForwardingContext", node_id: int, predecessor: int
@@ -840,104 +838,186 @@ class BatchPlanner:
         if cached is not None:
             return cached
         world = self.world
-        start = int(world.indptr[node_id])
-        end = int(world.indptr[node_id + 1])
-        nbrs = world.nbr_lists[node_id]
+        world.refresh_alpha([node_id])
+        start = world.starts[node_id]
+        end = world.starts[node_id + 1]
         hits = context.histories[node_id].selectivity_hits_block_pos(
-            fr.cid, predecessor, nbrs, fr.round_index
+            fr.cid, predecessor, world.nbr_lists[node_id], fr.round_index
         )
-        max_entries = fr.round_index - 1
-        if max_entries == 0:
-            sigma = np.zeros(end - start, dtype=np.float64)
-        else:
-            sigma = np.minimum(
-                1.0, np.asarray(hits, dtype=np.float64) / max_entries
-            )
-        weights = context.weights
-        q = (
-            weights.selectivity * sigma
-            + weights.availability * world.alpha_flat[start:end]
-        )
-        q = np.minimum(1.0, np.maximum(0.0, q))
+        q = self._quality(context, fr.round_index, hits, world.alpha_flat[start:end])
         fr.pos_q_cache[key] = q
-        perf = self._perf
-        perf.kernel_calls += 1
-        perf.kernel_batch_elements += end - start
-        perf.edges_scored += end - start
         return q
 
-    # -- SPNE value tables ---------------------------------------------------
-    def _ensure_levels(
+    def _root_quality(
         self,
         fr: Frontier,
         context: "ForwardingContext",
+        node_id: int,
+        predecessor: Optional[int],
+        cand_idx: np.ndarray,
+    ) -> np.ndarray:
+        """First-edge qualities of the candidate set."""
+        sel_pred = context.selectivity_predecessor(predecessor)
+        if sel_pred is None:
+            if not fr.q_built[node_id]:
+                self._ensure_q_nodes(fr, context, np.array([node_id], dtype=np.int64))
+            return fr.q_flat[cand_idx]
+        start = self.world.starts[node_id]
+        return self._pos_q(fr, context, node_id, sel_pred)[cand_idx - start]
+
+    # -- SPNE value tables ---------------------------------------------------
+    def _sync_levels(self, fr: Frontier, depth: int, position_aware: bool) -> None:
+        """Level tables up to ``depth`` for the current epoch.  Level 0
+        is all zeros and always solved."""
+        key = (fr.liveness_token, position_aware)
+        if fr.levels_key != key:
+            for done in fr.levels_done[1:]:
+                done[:] = False
+            fr.levels_key = key
+        n_edges = self.world.n_edges
+        while len(fr.levels_done) <= depth:
+            level_zero = not fr.levels_done
+            fr.levels_sum.append(np.zeros(n_edges, dtype=np.float64))
+            fr.levels_n.append(np.zeros(n_edges, dtype=np.int64))
+            fr.levels_done.append(np.full(n_edges, level_zero, dtype=bool))
+
+    def _solve(
+        self,
+        fr: Frontier,
+        context: "ForwardingContext",
+        roots: np.ndarray,
         depth: int,
         position_aware: bool,
     ) -> None:
-        """Level-batched backward induction: ``levels_sum[d][e]`` /
-        ``levels_n[d][e]`` are the scalar memo's ``(best_sum, best_n)``
-        for state ``e`` with ``d`` edges of lookahead left."""
+        """Solve ``levels[depth]`` for the ``roots`` states: walk their
+        cone (or the whole axis, when the cone would cover most of it),
+        score the cone's edges, then run the level steps bottom-up."""
+        self._sync_levels(fr, depth, position_aware)
+        if fr.levels_done[depth][roots].all():
+            return
+        if self._cone_bound(roots.size, depth) * CONE_WHOLE_AXIS_SHARE >= self.world.n_edges:
+            plan = self._axis_plan(fr, depth)
+        else:
+            plan = self._cone_plan(fr, roots, depth)
+        self._score_plan(fr, context, plan, position_aware)
+        for level in reversed(plan):
+            self._level_step(fr, level, position_aware)
+
+    def _cone_bound(self, n_roots: int, depth: int) -> float:
+        """Estimated state count of a cone, from the mean branching
+        factor (children per state)."""
         world = self.world
-        n_edges = world.n_edges
-        tok = (
-            fr.round_index,
-            world.alpha_generation,
-            fr.liveness_token,
-            position_aware,
-        )
-        if fr.levels_sum is None or fr.levels_token != tok:
-            self._reset_levels(fr)
-            fr.levels_token = tok
-        base_q = fr.q_child if position_aware else fr.q_flat
-        perf = self._perf
-        while len(fr.levels_sum) <= depth:
-            child_edge = world.st_child_edge
-            if child_edge.size == 0:
-                fr.levels_sum.append(fr.levels_sum[0])
-                fr.levels_n.append(fr.levels_n[0])
-                continue
-            new_sum, new_n = self._level_step(fr, base_q, position_aware)
-            fr.levels_sum.append(new_sum)
-            fr.levels_n.append(new_n)
-            perf.kernel_calls += 1
-            perf.kernel_batch_elements += int(child_edge.size)
+        branching = world.st_child_edge.size / max(world.n_edges, 1)
+        return n_roots * sum(branching**i for i in range(depth))
 
-    def _reset_levels(self, fr: Frontier) -> None:
-        """Start a fresh level stack (level 0 = all zeros).  Overridden
-        by the sharded planner to place levels in shared memory."""
-        n_edges = self.world.n_edges
-        fr.levels_sum = [np.zeros(n_edges, dtype=np.float64)]
-        fr.levels_n = [np.zeros(n_edges, dtype=np.int64)]
-
-    def _level_step(
-        self, fr: Frontier, base_q: np.ndarray, position_aware: bool
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Compute the next level over the whole state axis.  The
-        sharded planner overrides this to fan the state ranges out to
-        shard workers; both paths run :func:`spne_level_step`, so they
-        are bitwise-identical by construction."""
+    def _axis_plan(self, fr: Frontier, depth: int) -> List[_ConeLevel]:
+        """Every state of every unsolved level, top level first (a
+        fully solved level needs nothing below it)."""
+        world = self.world
         self._ensure_state_valid(fr)
+        plan = []
+        for d in range(depth, 0, -1):
+            if fr.levels_done[d].all():
+                break
+            plan.append(
+                _ConeLevel(
+                    d,
+                    None,
+                    None,
+                    world.st_child_edge,
+                    world.st_counts,
+                    world.st_red_idx,
+                    fr.st_valid,
+                    fr.st_dead,
+                )
+            )
+        return plan
+
+    def _cone_plan(self, fr: Frontier, roots: np.ndarray, depth: int) -> List[_ConeLevel]:
+        """Breadth-first walk of the unsolved part of the roots' cone,
+        top level first.  Only *valid* children descend a level: an
+        invalid child's value is masked out of its parent's choice, so
+        the walk visits exactly the scalar memo's keys."""
         world = self.world
-        child_edge = world.st_child_edge
-        # q_child is already laid out on the flat child axis; the
-        # per-edge row gathers through the child table first.
-        base_child = base_q if position_aware else base_q[child_edge]
-        new_sum = np.empty(world.n_edges, dtype=np.float64)
-        new_n = np.empty(world.n_edges, dtype=np.int64)
+        plan = []
+        states = roots
+        for d in range(depth, 0, -1):
+            states = states[~fr.levels_done[d][states]]
+            if states.size == 0:
+                break
+            counts = world.st_counts[states]
+            slots, offs = _segments(world.st_offsets[states], counts)
+            child_edge = world.st_child_edge[slots]
+            red_idx = np.minimum(offs, max(slots.size - 1, 0))
+            st_valid, st_dead = spne_state_validity(
+                fr.valid0, child_edge, world.st_child_not_pred[slots], counts, red_idx
+            )
+            plan.append(
+                _ConeLevel(d, states, slots, child_edge, counts, red_idx, st_valid, st_dead)
+            )
+            if d > 1:
+                states = np.unique(child_edge[st_valid])
+        return plan
+
+    def _score_plan(
+        self,
+        fr: Frontier,
+        context: "ForwardingContext",
+        plan: List[_ConeLevel],
+        position_aware: bool,
+    ) -> None:
+        """Base quality for every child the plan's level steps read."""
+        world = self.world
+        whole = plan[0].states is None
+        if position_aware:
+            if whole:
+                states = np.arange(world.n_edges, dtype=np.int64)
+            else:
+                states = np.unique(np.concatenate([level.states for level in plan]))
+            self._ensure_q_child(fr, context, states)
+        elif whole:
+            self._ensure_q_nodes(fr, context, world.owners)
+        else:
+            heads = [world.nbr_flat[level.states] for level in plan]
+            self._ensure_q_nodes(fr, context, np.unique(np.concatenate(heads)))
+
+    def _level_step(self, fr: Frontier, level: _ConeLevel, position_aware: bool) -> None:
+        """Run :func:`spne_level_step` for one planned level and store
+        the solved states."""
+        d = level.depth
+        child_edge = level.child_edge
+        if position_aware:
+            base_child = fr.q_child if level.slots is None else fr.q_child[level.slots]
+        else:
+            base_child = fr.q_flat[child_edge]
+        n_states = level.counts.size
+        out_sum = np.empty(n_states, dtype=np.float64)
+        out_n = np.empty(n_states, dtype=np.int64)
         spne_level_step(
             base_child,
-            fr.levels_sum[-1],
-            fr.levels_n[-1],
+            fr.levels_sum[d - 1],
+            fr.levels_n[d - 1],
             child_edge,
-            world.st_counts,
-            world.st_red_idx,
-            world.child_pos,
-            fr.st_valid,
-            fr.st_dead,
-            new_sum,
-            new_n,
+            level.counts,
+            level.red_idx,
+            np.arange(child_edge.size, dtype=np.int64),
+            level.st_valid,
+            level.st_dead,
+            out_sum,
+            out_n,
         )
-        return new_sum, new_n
+        if level.states is None:
+            fr.levels_sum[d] = out_sum
+            fr.levels_n[d] = out_n
+            fr.levels_done[d][:] = True
+        else:
+            fr.levels_sum[d][level.states] = out_sum
+            fr.levels_n[d][level.states] = out_n
+            fr.levels_done[d][level.states] = True
+        perf = self._perf
+        perf.kernel_calls += 1
+        perf.kernel_batch_elements += int(child_edge.size)
+        perf.spne_states_swept += n_states
 
     # -- candidates & costs -------------------------------------------------
     def _candidates(
@@ -946,8 +1026,8 @@ class BatchPlanner:
         """(flat edge indices, neighbour ids) of the candidate set, in
         ascending-id order — the scalar ``candidates()`` semantics."""
         world = self.world
-        start = int(world.indptr[node_id])
-        end = int(world.indptr[node_id + 1])
+        start = world.starts[node_id]
+        end = world.starts[node_id + 1]
         ids = world.nbr_flat[start:end]
         valid = fr.valid0[start:end]
         if predecessor is not None:
@@ -1003,13 +1083,7 @@ class BatchPlanner:
         cand_idx, cand_ids = self._candidates(fr, node_id, predecessor)
         if cand_ids.size == 0:
             return None
-        sel_pred = context.selectivity_predecessor(predecessor)
-        if sel_pred is None:
-            self._ensure_q_node(fr, context, node_id)
-            q = fr.q_flat[cand_idx]
-        else:
-            start = int(self.world.indptr[node_id])
-            q = self._pos_q(fr, context, node_id, sel_pred)[cand_idx - start]
+        q = self._root_quality(fr, context, node_id, predecessor, cand_idx)
         cost = self._costs(
             fr, context, node_id, predecessor, node.participation_cost, cand_ids
         )
@@ -1034,29 +1108,19 @@ class BatchPlanner:
         self, strategy, node, predecessor: Optional[int], context: "ForwardingContext"
     ) -> Optional[int]:
         """Batched Utility Model II: level-synchronous backward induction
-        over edge states, then one vectorised root decision."""
+        over the candidates' L-hop cone, then one vectorised root
+        decision."""
         node_id = node.node_id
         fr = self._frontier(context, node_id)
         self._ensure_liveness(fr, context)
         cand_idx, cand_ids = self._candidates(fr, node_id, predecessor)
         if cand_ids.size == 0:
             return None
-        position_aware = context.position_aware_selectivity
-        if position_aware:
-            self._ensure_q_child(fr, context)
-        else:
-            self._ensure_full_rows(fr, context)
-        self._ensure_levels(fr, context, strategy.lookahead, position_aware)
-        assert fr.levels_sum is not None and fr.levels_n is not None
-        tail_sum = fr.levels_sum[strategy.lookahead][cand_idx]
-        tail_n = fr.levels_n[strategy.lookahead][cand_idx]
-        sel_pred = context.selectivity_predecessor(predecessor)
-        if sel_pred is None:
-            self._ensure_q_node(fr, context, node_id)
-            q_root = fr.q_flat[cand_idx]
-        else:
-            start = int(self.world.indptr[node_id])
-            q_root = self._pos_q(fr, context, node_id, sel_pred)[cand_idx - start]
+        depth = strategy.lookahead
+        self._solve(fr, context, cand_idx, depth, context.position_aware_selectivity)
+        tail_sum = fr.levels_sum[depth][cand_idx]
+        tail_n = fr.levels_n[depth][cand_idx]
+        q_root = self._root_quality(fr, context, node_id, predecessor, cand_idx)
         # Terminal delivery edge (quality 1) appended, then normalised —
         # same expression tree as the scalar path_quality_through.
         path_q = (q_root + tail_sum + 1.0) / (tail_n + 2)

@@ -175,8 +175,7 @@ class PathBuilder:
     #: every round and series this builder serves.
     _world: Optional[WorldArrays] = field(default=None, repr=False, compare=False)
     #: Shared :class:`BatchPlanner` over ``_world``: one frontier per
-    #: connection, so concurrent series' quality rows are scored in one
-    #: stacked kernel call (see :meth:`BatchPlanner.prepare`).
+    #: connection, so a round's hops reuse each other's solved cones.
     _planner: Optional[BatchPlanner] = field(
         default=None, repr=False, compare=False
     )
@@ -263,9 +262,7 @@ class PathBuilder:
                     )
                     self._commit(path)
                     if self._planner is not None:
-                        # Announce the next round now that its history is
-                        # final: another connection's decision can score
-                        # this one's quality row inside its own batch.
+                        # Round-commit hook (a no-op; see its docstring).
                         self._planner.prepare(cid, round_index + 1, responder)
                     if self.bus is not None:
                         self.bus.emit(

@@ -34,7 +34,6 @@ from repro.core.edge_quality import QualityWeights, edge_quality
 from repro.core.history import HistoryProfile
 from repro.core.kernels import (
     MODEL1_KERNEL_MIN_CANDIDATES,
-    MODEL2_KERNEL_MIN_NODES,
     BatchPlanner,
     WorldArrays,
     validate_backend,
@@ -115,21 +114,23 @@ class ForwardingContext:
     #: (batched kernels, :mod:`repro.core.kernels`).  Both produce
     #: bit-identical decisions; the utility strategies dispatch on this.
     backend: str = "python"
-    #: Small-world crossover: when True (the default), tiny decisions
-    #: stay on the scalar loop even under ``backend="numpy"`` — the
-    #: array bookkeeping costs more than it saves below the measured
-    #: batch-size thresholds (see repro.core.kernels).  Both branches
-    #: are bit-identical, so mixing them within one run is sound; tests
-    #: pin this to False to force the kernels on small worlds.
+    #: Small-world crossover: when True (the default), Model I decisions
+    #: on tiny candidate sets stay on the scalar loop even under
+    #: ``backend="numpy"`` — the array bookkeeping costs more than it
+    #: saves below the measured threshold (see repro.core.kernels).
+    #: Both branches are bit-identical, so mixing them within one run is
+    #: sound; tests pin this to False to force the kernels.
     kernel_crossover: bool = True
     #: Shared array world for the numpy backend; the protocol layer
     #: passes one :class:`WorldArrays` across all rounds it builds so
     #: topology/availability arrays amortise.  Lazily created here when
     #: a bare context is used with ``backend="numpy"``.
     world: Optional[WorldArrays] = field(default=None, repr=False)
-    #: Shared round-level batch planner (numpy backend); the protocol
-    #: layer passes one :class:`BatchPlanner` across every round and
-    #: connection it builds so quality rows batch across connections.
+    #: Batch planner (numpy backend); the protocol layer passes one
+    #: :class:`BatchPlanner` per builder, across every round and
+    #: connection it builds.  The planner holds one frontier per
+    #: connection, so each round's hops reuse the cone states an earlier
+    #: hop of the same round already solved.
     #: Lazily created here when a bare context is used standalone.
     planner: Optional[BatchPlanner] = field(default=None, repr=False)
     #: Liveness snapshot marker for :meth:`begin_attempt`.
@@ -160,15 +161,6 @@ class ForwardingContext:
         return self.use_kernels() and (
             not self.kernel_crossover
             or len(node.neighbors) >= MODEL1_KERNEL_MIN_CANDIDATES
-        )
-
-    def use_kernels_model2(self) -> bool:
-        """Model II dispatch: kernels, unless the overlay is too small —
-        the SPNE tables batch over every directed edge, so the win
-        scales with the population, not the local degree."""
-        return self.use_kernels() and (
-            not self.kernel_crossover
-            or len(self.overlay.nodes) >= MODEL2_KERNEL_MIN_NODES
         )
 
     def begin_attempt(self) -> None:
@@ -428,7 +420,9 @@ class UtilityModelII(RoutingStrategy):
         if hit is not None:
             context.perf.spne_memo_hits += 1
             return hit
-        context.perf.spne_memo_misses += 1
+        perf = context.perf
+        perf.spne_memo_misses += 1
+        perf.spne_states_swept += 1
         node = context.overlay.nodes[node_id]
         best_sum, best_n = 0.0, 0
         best_mean = -1.0
@@ -477,7 +471,7 @@ class UtilityModelII(RoutingStrategy):
         # One shared SPNE memo for the entire candidate set: overlapping
         # downstream subtrees are expanded exactly once per decision.
         with context.tracer.span("spne.decide"):
-            if context.use_kernels_model2():
+            if context.use_kernels():
                 return context.batch_planner().decide_model2(
                     self, node, predecessor, context
                 )

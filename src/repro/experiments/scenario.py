@@ -18,6 +18,7 @@ The flow (matching §3's setup):
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
@@ -370,8 +371,41 @@ class ScenarioResult:
         return "\n".join(lines)
 
 
+class _PhaseSpans:
+    """The open ``scenario.*`` phase spans of one run.
+
+    Phases bracket regions of one flat function body, so they are
+    opened and closed by hand; :func:`run_scenario` unwinds whichever
+    is still open when the body raises, so an error never leaves a
+    span open.
+    """
+
+    def __init__(self) -> None:
+        self._open: List[object] = []
+
+    def enter(self, span) -> None:
+        span.__enter__()
+        self._open.append(span)
+
+    def exit(self, exc_info=(None, None, None)) -> None:
+        self._open.pop().__exit__(*exc_info)
+
+    def unwind(self, exc_info) -> None:
+        while self._open:
+            self.exit(exc_info)
+
+
 def run_scenario(config: ExperimentConfig) -> ScenarioResult:
     """Run one full simulation described by ``config``."""
+    phases = _PhaseSpans()
+    try:
+        return _run_scenario(config, phases)
+    except BaseException:
+        phases.unwind(sys.exc_info())
+        raise
+
+
+def _run_scenario(config: ExperimentConfig, phases: _PhaseSpans) -> ScenarioResult:
     from repro.sim.monitoring import PERF
 
     perf_before = PERF.snapshot()
@@ -389,9 +423,7 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
     bus = obs.bus if obs is not None else None
     tracer = obs.tracer if obs is not None else NULL_TRACER
     emit_hops = bus is not None and config.obs.hop_events
-    # Phase spans bracket regions of this (synchronous) frame, so they
-    # are entered/exited manually rather than re-indenting the harness.
-    _setup_span = tracer.span("scenario.setup").__enter__()
+    phases.enter(tracer.span("scenario.setup"))
 
     overlay = Overlay(rng=streams["overlay"], degree=config.degree)
     overlay.bootstrap(
@@ -1029,13 +1061,13 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
             contracts_by_cid[cid] = contract
         env.process(pair_process(cid, i, r, contract))
 
-    _setup_span.__exit__(None, None, None)
+    phases.exit()
     phase_timings: Dict[str, float] = {"setup": time.perf_counter() - t_setup0}  # repro: noqa-DET005 (informational wall timing; never feeds results)
 
     # Run until all workload processes finish (plus prober/churn, which are
     # infinite; stop when every series has attempted all rounds).
     t_sim0 = time.perf_counter()  # repro: noqa-DET005 (informational wall timing; never feeds results)
-    _sim_span = tracer.span("scenario.simulate").__enter__()
+    phases.enter(tracer.span("scenario.simulate"))
     horizon = config.inter_round_gap * (rounds + 2) * 2.0
     try:
         while True:
@@ -1055,13 +1087,13 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
             shard_engine.close()
             if injector is not None:
                 injector.stats.absorb(shard_engine.worker_degradation)
-    _sim_span.__exit__(None, None, None)
+    phases.exit()
     phase_timings["simulate"] = time.perf_counter() - t_sim0  # repro: noqa-DET005 (informational wall timing; never feeds results)
     phase_timings["settle"] = settle_wall[0]
 
     # ---- aggregate -------------------------------------------------------
     t_collect0 = time.perf_counter()  # repro: noqa-DET005 (informational wall timing; never feeds results)
-    _collect_span = tracer.span("scenario.collect").__enter__()
+    phases.enter(tracer.span("scenario.collect"))
     costs: Dict[int, float] = dict(transmission_costs)
     for nid in participated:
         costs[nid] = costs.get(nid, 0.0) + overlay.nodes[nid].participation_cost
@@ -1084,7 +1116,7 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
                 / colony.identities_used
             ),
         }
-    _collect_span.__exit__(None, None, None)
+    phases.exit()
     phase_timings["collect"] = time.perf_counter() - t_collect0  # repro: noqa-DET005 (informational wall timing; never feeds results)
 
     perf_delta = PERF.delta_since(perf_before)

@@ -208,6 +208,10 @@ class PerfCounters:
     - ``edges_scored`` — edge-quality evaluations actually performed;
     - ``spne_memo_hits`` / ``spne_memo_misses`` — backward-induction subtree
       reuse inside ``UtilityModelII`` (one shared memo per decision);
+    - ``spne_states_swept`` — backward-induction states actually solved,
+      on either backend: one per memo miss on the scalar path, one per
+      state a numpy level step computes.  Deterministic, so the two
+      backends' work can be compared exactly;
     - ``utility_evaluations`` — forwarder-utility function evaluations
       (models I and II combined).
 
@@ -231,6 +235,7 @@ class PerfCounters:
         "edges_scored",
         "spne_memo_hits",
         "spne_memo_misses",
+        "spne_states_swept",
         "utility_evaluations",
         "kernel_calls",
         "kernel_batch_elements",

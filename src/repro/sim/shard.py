@@ -392,6 +392,13 @@ class ShardWorld(WorldArrays):
         self._activity_sources.append(fn)
         self._scan_key = None
 
+    def ensure_fresh(self) -> None:
+        """Topology, then the whole availability vector from the
+        session-time mirror: the sharded planner scores full rows, so
+        it refreshes every slice at once instead of per scored node."""
+        super().ensure_fresh()
+        self._refresh_alpha()
+
     # -- topology -------------------------------------------------------
     def _rebuild_topology(self) -> None:
         super()._rebuild_topology()
@@ -480,7 +487,6 @@ class ShardWorld(WorldArrays):
             alpha = np.where((tot > 0.0)[:, None], mat / safe[:, None], 0.0)
             if self.n_edges:
                 self.alpha_flat[:] = alpha[self.owner_flat, self._edge_col]
-        self.alpha_generation += 1
         self._perf.array_rebuilds += 1
 
 
@@ -510,90 +516,48 @@ class ShardPlanner(BatchPlanner):
             self._published_mask_key = self._mask_key
         return mask
 
-    def _ensure_full_rows(self, fr, context) -> None:
-        """Cross-connection quality build served from the shared hit
-        table: one row gather per member instead of one bisect per
-        (member, edge).  The arithmetic below is the base method's
-        expression tree, op for op."""
-        fr.wants_full_row = True
-        if fr.row_complete:
+    def _solve(self, fr, context, roots, depth, position_aware) -> None:
+        """Whole-axis solve: the full quality row gathered from the
+        shared hit table, every missing level swept by the workers.
+        Position-aware runs are rejected at config validation; direct
+        planner use falls back to the single-process cone solve."""
+        if position_aware:
+            super()._solve(fr, context, roots, depth, position_aware)
             return
-        world = self.world
-        members = [fr]
-        for other in self.frontiers.values():
-            if other is fr or not (other.wants_full_row and other.prepared):
-                continue
-            other.prepared = False
-            if other.generation != world.generation:
-                self._reset_frontier(other)
-            self._sync_round_token(other)
-            if not other.row_complete:
-                members.append(other)
-        n_edges = world.n_edges
-        table = self.engine.hits
-        hits_mat = np.empty((len(members), n_edges), dtype=np.float64)
-        for i, member in enumerate(members):
-            hits_mat[i, :] = table.row(member.cid)
-        max_entries = np.array(
-            [float(member.round_index - 1) for member in members],
-            dtype=np.float64,
-        )
-        safe = np.where(max_entries > 0.0, max_entries, 1.0)
-        sigma = np.minimum(1.0, hits_mat / safe[:, None])
-        weights = context.weights
-        q = (
-            weights.selectivity * sigma
-            + weights.availability * world.alpha_flat[None, :]
-        )
-        q = np.minimum(1.0, np.maximum(0.0, q))
-        alpha_gen = world.alpha_generation
-        for member, q_row in zip(members, q):
-            member.q_flat = q_row
-            member.q_built = np.ones(world.size, dtype=bool)
-            member.row_complete = True
-            member.q_token = (member.round_index, alpha_gen)
-        if len(members) > self.max_batched_frontiers:
-            self.max_batched_frontiers = len(members)
-        perf = self._perf
-        perf.kernel_calls += 1
-        perf.kernel_batch_elements += int(q.size)
-        perf.edges_scored += int(q.size)
+        self._sync_levels(fr, depth, position_aware)
+        if fr.levels_done[depth][roots].all():
+            return
+        self._ensure_full_row(fr, context)
+        self._ensure_levels(fr, depth)
 
-    def _ensure_levels(self, fr, context, depth, position_aware) -> None:
+    def _ensure_full_row(self, fr, context) -> None:
+        """Score every edge in one expression, with hit counts read from
+        the shared table instead of one bisect per edge (the table
+        reproduces the bisect numerators exactly)."""
+        if fr.q_built.all():
+            return
+        hits = self.engine.hits.row(fr.cid)
+        fr.q_flat = self._quality(context, fr.round_index, hits, self.world.alpha_flat)
+        fr.q_built[:] = True
+
+    def _ensure_levels(self, fr, depth) -> None:
         """Whole-build dispatch: every missing level goes to the workers
         in one ``levels`` command (they synchronise between levels on
-        the shared barrier), instead of one pipe round-trip per level.
-        Token handling, the empty-child short-circuit and the perf
-        accounting mirror the base method exactly."""
-        if position_aware:
-            # Position-aware runs are rejected at config validation;
-            # keep the single-process path as a safety net for direct
-            # planner use.
-            super()._ensure_levels(fr, context, depth, position_aware)
-            return
+        the shared barrier), instead of one pipe round-trip per level."""
         world = self.world
-        tok = (
-            fr.round_index,
-            world.alpha_generation,
-            fr.liveness_token,
-            position_aware,
-        )
-        if fr.levels_sum is None or fr.levels_token != tok:
-            self._reset_levels(fr)
-            fr.levels_token = tok
-        need = depth - (len(fr.levels_sum) - 1)
-        if need <= 0:
-            return
+        base = depth
+        while base > 0 and not fr.levels_done[base].all():
+            base -= 1
+        need = depth - base
         child_edge = world.st_child_edge
-        if child_edge.size == 0:
-            for _ in range(need):
-                fr.levels_sum.append(fr.levels_sum[0])
-                fr.levels_n.append(fr.levels_n[0])
-            return
-        self.engine.build_levels(fr, fr.q_flat, need)
+        if child_edge.size:
+            self.engine.build_levels(fr, fr.q_flat, base, need)
+        for d in range(base + 1, depth + 1):
+            fr.levels_done[d][:] = True
         perf = self._perf
         perf.kernel_calls += need
         perf.kernel_batch_elements += need * int(child_edge.size)
+        perf.spne_states_swept += need * world.n_edges
 
 
 # ---------------------------------------------------------------------------
@@ -1019,13 +983,13 @@ class ShardEngine:
         self._mask_epoch += 1
 
     # -- the sharded kernel call ----------------------------------------
-    def build_levels(self, fr, base_q: np.ndarray, need: int) -> None:
-        """Run one whole backward-induction build — ``need`` new levels
-        appended to the frontier's stack — as a single dispatch per
-        plane-capacity chunk.  The coordinator publishes the base
+    def build_levels(self, fr, base_q: np.ndarray, base: int, need: int) -> None:
+        """Run one whole backward-induction build — levels ``base + 1
+        .. base + need`` of the frontier's tables — as a single dispatch
+        per plane-capacity chunk.  The coordinator publishes the base
         quality row and the previous level into plane 0, the workers
         compute planes ``1..n_new`` (synchronising between levels on
-        the shared barrier), and the coordinator appends private copies
+        the shared barrier), and the coordinator stores private copies
         so frontier state keeps the base planner's ownership semantics.
         """
         world = self.world
@@ -1037,14 +1001,15 @@ class ShardEngine:
         built = 0
         while built < need:
             n_new = min(need - built, self.max_levels)
-            lsum[0, :n_edges] = fr.levels_sum[-1]
-            ln[0, :n_edges] = fr.levels_n[-1]
+            top = base + built
+            lsum[0, :n_edges] = fr.levels_sum[top]
+            ln[0, :n_edges] = fr.levels_n[top]
             for conn in self._conns:
                 conn.send(("levels", self._mask_epoch, int(fr.responder), n_new))
             self._collect_acks("levels")
             for i in range(1, n_new + 1):
-                fr.levels_sum.append(lsum[i, :n_edges].copy())
-                fr.levels_n.append(ln[i, :n_edges].copy())
+                fr.levels_sum[top + i] = lsum[i, :n_edges].copy()
+                fr.levels_n[top + i] = ln[i, :n_edges].copy()
             built += n_new
         if self._latch.tripped:
             # Drain point: the in-flight build completed; unwind so the

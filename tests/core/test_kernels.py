@@ -212,14 +212,16 @@ def test_backends_build_identical_paths(seed, strategy_name, position_aware):
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_cross_connection_batching_matches_scalar(seed):
     """Several interleaved connections share one builder: the planner
-    stacks every announced frontier into one batched scoring pass, and
-    the interleaved decisions must still match the scalar reference for
-    every cid and round."""
+    keeps one frontier per connection, each holding its own round's
+    solved cone, and the interleaved decisions must still match the
+    scalar reference for every cid and round."""
     cids = (1, 2, 3)
     paths = {}
     planner = None
+    kernel_calls = 0
     for backend in BACKENDS:
         ov, histories = make_world(seed, n=16, degree=4)
+        before = PERF.snapshot()
         builder = PathBuilder(
             overlay=ov,
             cost_model=CostModel(
@@ -249,10 +251,53 @@ def test_cross_connection_batching_matches_scalar(seed):
         paths[backend] = built
         if backend == "numpy":
             planner = builder._planner
+            kernel_calls = PERF.delta_since(before)["kernel_calls"]
     assert paths["python"] == paths["numpy"]
-    # The planner really co-batched announced frontiers (not one-by-one).
+    # One frontier per interleaved connection, and the kernels ran.
     assert planner is not None
-    assert planner.max_batched_frontiers >= 2
+    assert sorted(planner.frontiers) == list(cids)
+    assert kernel_calls > 0
+
+
+def test_cone_kernels_work_within_twice_scalar():
+    """A ~500-node utility-II L3 world with the kernels forced: the cone
+    planner picks the scalar reference's hops while scoring at most
+    twice its edges and solving at most twice its SPNE states (the
+    whole-world planner scored ~22x the edges at 5k nodes)."""
+    runs = {}
+    for backend in BACKENDS:
+        ov, histories = make_world(21, n=500, degree=5)
+        builder = PathBuilder(
+            overlay=ov,
+            cost_model=CostModel(
+                bandwidth=BandwidthModel(rng=np.random.default_rng(21))
+            ),
+            histories=histories,
+            rng=np.random.default_rng(22),
+            good_strategy=UtilityModelII(lookahead=3),
+            termination=TerminationPolicy.crowds(0.7),
+            backend=backend,
+            kernel_crossover=False,
+        )
+        before = PERF.snapshot()
+        built = []
+        for rnd in range(1, 6):
+            for cid in (1, 2, 3):
+                path = builder.build_round(
+                    cid=cid,
+                    round_index=rnd,
+                    initiator=cid * 7,
+                    responder=len(ov.nodes) - 1,
+                    contract=Contract.from_tau(60.0, 2.0),
+                )
+                built.append(path.forwarders)
+        runs[backend] = (built, PERF.delta_since(before))
+    (scalar_hops, scalar), (batched_hops, batched) = runs["python"], runs["numpy"]
+    assert scalar_hops == batched_hops
+    assert batched["kernel_calls"] > 0
+    assert scalar["spne_states_swept"] > 0
+    assert batched["edges_scored"] <= 2 * scalar["edges_scored"]
+    assert batched["spne_states_swept"] <= 2 * scalar["spne_states_swept"]
 
 
 # ---- invalidation ---------------------------------------------------------
@@ -332,22 +377,25 @@ def test_position_aware_contexts_use_kernels():
 
 
 def test_small_world_crossover_keeps_tiny_decisions_scalar():
-    """Below the crossover thresholds the numpy backend dispatches to the
-    scalar path (per-decision array overhead dominates on tiny candidate
-    sets) — decisions are bit-identical either way, so only the counters
-    tell the lanes apart."""
-    ov, histories = make_world(4)  # n=14 < 20, degree 4 < 12
+    """Below the Model I crossover threshold the numpy backend dispatches
+    to the scalar path (per-decision array overhead dominates on tiny
+    candidate sets) — decisions are bit-identical either way, so only the
+    counters tell the lanes apart.  Model II has no crossover: its cone
+    kernels run on every world size, tiny ones included."""
+    ov, histories = make_world(4)  # n=14, degree 4 < 12
     node = ov.nodes[0]
     ctx = make_context(ov, histories, "numpy", kernel_crossover=True)
     assert ctx.use_kernels()
     assert not ctx.use_kernels_model1(node)
-    assert not ctx.use_kernels_model2()
 
-    for strategy in (UtilityModelI(), UtilityModelII(lookahead=2)):
+    for strategy, lane_calls in (
+        (UtilityModelI(), lambda calls: calls == 0),
+        (UtilityModelII(lookahead=2), lambda calls: calls > 0),
+    ):
         before = PERF.snapshot()
         hop = strategy.select_next_hop(node, None, ctx)
         delta = PERF.delta_since(before)
-        assert delta["kernel_calls"] == 0
+        assert lane_calls(delta["kernel_calls"])
         scalar_ctx = make_context(ov, histories, "python")
         assert hop == strategy.select_next_hop(node, None, scalar_ctx)
 
@@ -356,8 +404,7 @@ def test_small_world_crossover_engages_kernels_on_large_worlds():
     ov, histories = make_world(8, n=24, degree=5)
     node = ov.nodes[0]
     ctx = make_context(ov, histories, "numpy", kernel_crossover=True)
-    # n=24 >= MODEL2_KERNEL_MIN_NODES: the lookahead sweep is batched...
-    assert ctx.use_kernels_model2()
+    # The lookahead sweep is batched...
     before = PERF.snapshot()
     UtilityModelII(lookahead=2).select_next_hop(node, None, ctx)
     assert PERF.delta_since(before)["kernel_calls"] > 0

@@ -5,9 +5,10 @@ import pickle
 
 import pytest
 
+from repro.core.protocol import PathBuilder
 from repro.experiments.config import ExperimentConfig, FaultConfig
 from repro.experiments.scenario import run_scenario
-from repro.obs import ObsConfig, RunTrace
+from repro.obs import Observability, ObsConfig, RunTrace
 from repro.obs.summarize import summarize_file, summarize_trace
 
 BASE = dict(seed=11, n_nodes=24, n_pairs=6, total_transmissions=60)
@@ -54,6 +55,36 @@ class TestPhaseTimings:
 
     def test_summary_renders_wall_clock_line(self, traced_result):
         assert "wall clock:" in traced_result.summary()
+
+
+class TestPhaseSpansOnError:
+    def test_error_mid_simulate_leaves_no_open_span(self, monkeypatch):
+        created = []
+        create = Observability.create.__func__
+
+        def capture(cls, *args, **kwargs):
+            obs = create(cls, *args, **kwargs)
+            created.append(obs)
+            return obs
+
+        commits = []
+        commit = PathBuilder._commit
+
+        def failing_commit(self, path):
+            commits.append(path)
+            if len(commits) == 3:
+                raise RuntimeError("injected failure")
+            return commit(self, path)
+
+        monkeypatch.setattr(Observability, "create", classmethod(capture))
+        monkeypatch.setattr(PathBuilder, "_commit", failing_commit)
+        with pytest.raises(RuntimeError, match="injected failure"):
+            run_scenario(ExperimentConfig(**BASE, obs=ObsConfig()))
+        (obs,) = created
+        assert obs.tracer.active_depth == 0
+        closed = {span.name for span in obs.tracer.spans}
+        assert {"scenario.setup", "scenario.simulate", "path.build"} <= closed
+        assert "scenario.collect" not in closed
 
 
 class TestTraceContent:
