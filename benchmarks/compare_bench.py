@@ -32,6 +32,13 @@ side are reported but never fail the gate (machines differ; the
 baseline is refreshed whenever the hot path intentionally changes).
 ``--no-gate`` skips the comparison (e.g. when only compacting).
 
+The deterministic work counters in ``extra_info`` (``WORK_COUNTERS``)
+are gated exactly: for every benchmark shared with the baseline, a
+counter the baseline records must appear in the report with the same
+value, or the gate fails (exit 1) whatever the time threshold and
+``--gate-match``.  Machine noise cannot move these counters, so any
+difference is a change in how much work the code does.
+
 ``--gate-match REGEX`` (repeatable) narrows which benchmarks can *fail*
 the gate: names matching any pattern gate as usual, the rest are
 compared and printed but reported as informational.  CI uses this to
@@ -58,6 +65,10 @@ TRAJECTORY_SCHEMA = "repro-bench/trajectory-v1"
 #: per-round ``data`` arrays are what make it two orders of magnitude
 #: larger, and nothing downstream reads them).
 _KEPT_STATS = ("min", "max", "mean", "stddev", "median", "rounds", "iterations")
+
+#: Integer work counters a benchmark may carry in ``extra_info``; gated
+#: exactly against the baseline (see the module docstring).
+WORK_COUNTERS = ("edges_scored", "spne_states_swept")
 
 
 def load_report(path: Path) -> dict:
@@ -144,6 +155,35 @@ def compare(
         return 1
     print("\nAll shared benchmarks within threshold.")
     return 0
+
+
+def work_counters(report: dict) -> Dict[str, Dict[str, int]]:
+    """benchmark fullname -> its recorded ``WORK_COUNTERS`` (from a compact report)."""
+    out = {}
+    for name, stats in report["benchmarks"].items():
+        extra = stats.get("extra_info") or {}
+        out[name] = {c: extra[c] for c in WORK_COUNTERS if c in extra}
+    return out
+
+
+def compare_work(
+    current: Dict[str, Dict[str, int]], baseline: Dict[str, Dict[str, int]]
+) -> int:
+    """Exact gate: 1 if any shared benchmark's counter differs or is missing."""
+    mismatches = [
+        (name, counter, expected, current[name].get(counter))
+        for name in sorted(set(current) & set(baseline))
+        for counter, expected in sorted(baseline[name].items())
+        if current[name].get(counter) != expected
+    ]
+    if not mismatches:
+        print("All shared work counters match the baseline exactly.")
+        return 0
+    print(f"\n{len(mismatches)} work counter(s) differ from the baseline:", file=sys.stderr)
+    for name, counter, expected, got in mismatches:
+        shown = "missing" if got is None else got
+        print(f"  {name}: {counter} {expected} -> {shown}", file=sys.stderr)
+    return 1
 
 
 def resolve_commit(report: dict) -> str:
@@ -251,12 +291,12 @@ def main(argv=None) -> int:
     if not args.baseline.exists():
         print(f"baseline not found: {args.baseline}", file=sys.stderr)
         return 2
-    return compare(
-        means(report),
-        means(load_report(args.baseline)),
-        args.threshold,
-        gate_patterns=args.gate_match,
+    baseline = load_report(args.baseline)
+    timing = compare(
+        means(report), means(baseline), args.threshold, gate_patterns=args.gate_match
     )
+    work = compare_work(work_counters(report), work_counters(baseline))
+    return max(timing, work)
 
 
 if __name__ == "__main__":

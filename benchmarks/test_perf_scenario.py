@@ -110,11 +110,12 @@ _ladder_paths = {}
 @pytest.mark.parametrize("n_nodes", [40, 500, 5000])
 def test_perf_scale_ladder(benchmark, n_nodes, backend):
     cfg = LADDER_CFG.with_overrides(n_nodes=n_nodes, backend=backend)
-    simulate = []
+    simulate, setup = [], []
 
     def run():
         result = run_scenario(cfg)
         simulate.append(result.phase_timings["simulate"])
+        setup.append(result.phase_timings["setup"])
         return result
 
     result = benchmark.pedantic(run, rounds=2, iterations=1)
@@ -122,6 +123,9 @@ def test_perf_scale_ladder(benchmark, n_nodes, backend):
     work = (perf["edges_scored"], perf["spne_states_swept"])
     benchmark.extra_info.update(
         simulate_s=min(simulate),
+        # Informational (overlay bootstrap dominates it at 5000 nodes);
+        # not gated.
+        setup_s=min(setup),
         edges_scored=work[0],
         spne_states_swept=work[1],
     )

@@ -9,6 +9,7 @@ neighbour set.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set
 
@@ -35,6 +36,9 @@ class Overlay:
     nodes: Dict[int, PeerNode] = field(default_factory=dict)
     trace: NetworkTrace = field(default_factory=NetworkTrace)
     _online: Set[int] = field(default_factory=set)
+    #: The ids of ``_online``, kept sorted as membership changes so
+    #: discovery and :meth:`online_ids` never re-sort the whole set.
+    _online_sorted: List[int] = field(default_factory=list, repr=False, compare=False)
     _next_id: int = 0
     #: Monotonic counter advanced on every online-set change (join /
     #: leave / depart).  Array-backed views
@@ -51,12 +55,6 @@ class Overlay:
     #: must detect (:meth:`repro.core.kernels.WorldArrays` falls back to
     #: the per-node version scan unless every snapshot node was wired).
     topology_version: int = field(default=0, repr=False)
-    #: Sorted online-id array cache backing :meth:`sample_peers`
-    #: (rebuilt when ``liveness_version`` moves).
-    _online_array: Optional[np.ndarray] = field(
-        default=None, repr=False, compare=False
-    )
-    _online_array_version: int = field(default=-1, repr=False, compare=False)
 
     def __post_init__(self):
         if self.degree < 1:
@@ -108,7 +106,11 @@ class Overlay:
         for node in self.rng.choice(created, size=n_bad, replace=False):
             node.malicious = True
         for node in created:
-            self.join(node.node_id, now)
+            self._go_online(node, now)
+            if len(self._online) > 1:
+                # The join-time draw is discarded, but later discovery
+                # reads the same stream, so it must still be made.
+                self._join_draw(node.node_id)
         wanted = min(self.degree, len(self._online) - 1)
         for node in created:
             node.set_neighbors(self.sample_peers(wanted, exclude={node.node_id}))
@@ -118,19 +120,31 @@ class Overlay:
     def join(self, node_id: int, now: float) -> None:
         """Bring a node online (start of a session)."""
         node = self.nodes[node_id]
-        node.go_online(now)
-        self._online.add(node_id)
-        self.liveness_version += 1
-        self.trace.join(now, node_id)
+        self._go_online(node, now)
         if not node.neighbors and len(self._online) > 1:
-            wanted = min(self.degree, len(self._online) - 1)
-            node.set_neighbors(self.sample_peers(wanted, exclude={node_id}))
+            node.set_neighbors(self._join_draw(node_id))
+
+    def _go_online(self, node: PeerNode, now: float) -> None:
+        node.go_online(now)
+        self._online.add(node.node_id)
+        bisect.insort(self._online_sorted, node.node_id)
+        self.liveness_version += 1
+        self.trace.join(now, node.node_id)
+
+    def _join_draw(self, node_id: int) -> List[int]:
+        wanted = min(self.degree, len(self._online) - 1)
+        return self.sample_peers(wanted, exclude={node_id})
+
+    def _drop_online(self, node_id: int) -> None:
+        if node_id in self._online:
+            self._online.remove(node_id)
+            del self._online_sorted[bisect.bisect_left(self._online_sorted, node_id)]
 
     def leave(self, node_id: int, now: float) -> None:
         """Take a node offline (end of a session; may rejoin later)."""
         node = self.nodes[node_id]
         node.go_offline(now)
-        self._online.discard(node_id)
+        self._drop_online(node_id)
         self.liveness_version += 1
         self.trace.leave(now, node_id)
 
@@ -139,7 +153,7 @@ class Overlay:
         node = self.nodes[node_id]
         was_online = node.is_online
         node.depart(now)
-        self._online.discard(node_id)
+        self._drop_online(node_id)
         self.liveness_version += 1
         if was_online:
             self.trace.depart(now, node_id)
@@ -150,7 +164,7 @@ class Overlay:
 
     def online_ids(self) -> List[int]:
         """Ids of all online nodes, sorted for determinism."""
-        return sorted(self._online)
+        return list(self._online_sorted)
 
     def online_count(self) -> int:
         return len(self._online)
@@ -188,42 +202,20 @@ class Overlay:
         Raises if fewer than ``k`` candidates exist — callers decide how to
         degrade (the prober retries next round).
         """
-        banned = set(exclude or ())
-        arr = self._sorted_online()
-        if banned:
-            # Same pool the listcomp built (sorted online minus banned),
-            # assembled without the O(n) Python loop: locate each banned
-            # id by bisection and mask it out.
-            ban = np.fromiter(sorted(banned), dtype=np.int64, count=len(banned))
-            pos = np.searchsorted(arr, ban)
-            in_range = pos < arr.size
-            pos = pos[in_range]
-            present = arr[pos] == ban[in_range]
-            if present.any():
-                keep = np.ones(arr.size, dtype=bool)
-                keep[pos[present]] = False
-                arr = arr[keep]
-        if arr.size < k:
-            raise ValueError(f"cannot sample {k} peers from pool of {arr.size}")
-        # Generator.choice converts a Python list to exactly this int64
-        # array before drawing, so handing it the array directly consumes
-        # identical entropy and returns identical picks.
-        picked = self.rng.choice(arr, size=k, replace=False)
-        return picked.tolist()
-
-    def _sorted_online(self) -> np.ndarray:
-        """Sorted online ids as an int64 array, cached per liveness epoch."""
-        if (
-            self._online_array is None
-            or self._online_array_version != self.liveness_version
-        ):
-            arr = np.fromiter(
-                self._online, dtype=np.int64, count=len(self._online)
-            )
-            arr.sort()
-            self._online_array = arr
-            self._online_array_version = self.liveness_version
-        return self._online_array
+        ids = self._online_sorted
+        skips = sorted(
+            bisect.bisect_left(ids, x) for x in set(exclude or ()) if x in self._online
+        )
+        pool = len(ids) - len(skips)
+        if pool < k:
+            raise ValueError(f"cannot sample {k} peers from pool of {pool}")
+        # Generator.choice draws positions from the population size alone,
+        # so drawing from ``pool`` consumes the entropy and picks the
+        # positions that drawing from the pool array itself would.  Pool
+        # position p is sorted position p + #{j : skips[j] - j <= p}.
+        shifted = [pos - j for j, pos in enumerate(skips)]
+        picks = self.rng.choice(pool, size=k, replace=False).tolist()
+        return [ids[p + bisect.bisect_right(shifted, p)] for p in picks]
 
     def random_online_peer(self, exclude: Optional[Iterable[int]] = None) -> Optional[int]:
         """One random online peer, or None if no candidate exists."""

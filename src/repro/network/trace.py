@@ -33,6 +33,12 @@ class NetworkTrace:
     """Append-only membership log with point-in-time reconstruction."""
 
     events: List[TraceEvent] = field(default_factory=list)
+    #: ``events[i].time`` for every event, kept beside the log so
+    #: :meth:`online_at` bisects it without rebuilding it per call.
+    _times: List[float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._times = [e.time for e in self.events]
 
     def record(self, time: float, kind: TraceEventKind, node_id: int) -> None:
         if self.events and time < self.events[-1].time:
@@ -41,6 +47,7 @@ class NetworkTrace:
                 f"({time} < {self.events[-1].time})"
             )
         self.events.append(TraceEvent(time, kind, node_id))
+        self._times.append(time)
 
     def join(self, time: float, node_id: int) -> None:
         self.record(time, TraceEventKind.JOIN, node_id)
@@ -54,8 +61,7 @@ class NetworkTrace:
     def online_at(self, time: float) -> FrozenSet[int]:
         """The set of node ids online at ``time`` (inclusive of events at t)."""
         # Events are time-ordered; replay the prefix up to `time`.
-        times = [e.time for e in self.events]
-        end = bisect.bisect_right(times, time)
+        end = bisect.bisect_right(self._times, time)
         online: Set[int] = set()
         for e in self.events[:end]:
             if e.kind is TraceEventKind.JOIN:
