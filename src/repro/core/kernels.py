@@ -27,9 +27,11 @@ paths, same ``ScenarioResult`` — so either backend can serve as the
 reference for the other.  Three rules keep the float streams and the
 RNG stream aligned:
 
-1. *Same scalar inputs.*  Availability values are read from each node's
-   cached ``availability_vector()`` normalisation (never re-summed with
-   numpy's pairwise summation); selectivity hit counts come from the
+1. *Same scalar inputs.*  Availability values are recomputed from the
+   session mirror with the normaliser's own operation order — columns
+   added one by one, left to right in dict order, never numpy's
+   pairwise summation — so they equal each node's cached
+   ``availability_vector()``; selectivity hit counts come from the
    same sorted-round-index bisects the scalar path uses
    (:meth:`HistoryProfile.selectivity_hits_block` and its
    position-aware sibling ``selectivity_hits_block_pos``).
@@ -86,7 +88,7 @@ neighbour sets are not symmetric), cached per ``(node, predecessor)``.
 **Snapshot semantics.**  Quality and availability are snapshotted per
 context and round index — exactly the lifetime of the scalar backend's
 edge-quality cache (histories commit after the round; probe counters
-advance between rounds).  A node's availability slice is re-read, if
+advance between rounds).  A node's availability slice is recomputed, if
 its ``availability_version`` moved, when the node's edges are first
 scored in that epoch; topology is checked once per context.  Liveness
 is snapshotted per formation *attempt*:
@@ -200,15 +202,34 @@ class WorldArrays:
     ``st_child_not_pred`` Per child: head differs from the state's
                           predecessor (the no-backtracking filter).
 
+    Session mirror (availability):
+
+    ``_sess_mat``      One row of probe counters per node id, columns in
+                       the node's *dict* (insertion) order — the order
+                       the scalar normaliser sums in; padding is 0.0.
+    ``_sess_occ``      Cells a credit-log entry adds to: the occupied
+                       columns of nodes that share the overlay's log.
+    ``_sess_ver``      The ``availability_version`` each row holds
+                       (-1: not read since the last topology rebuild).
+    ``_edge_col``      Per edge, the column of its head in the owner's row.
+    ``_alpha_ver``     The row version each ``alpha_flat`` slice was
+                       computed from (a list: read per node in Python).
+
     Invalidation: :meth:`ensure_fresh` rebuilds the topology (and bumps
     ``generation``) when any node's ``neighbors_version`` moved or the
-    node population changed.  Availability is checked per node, not per
-    world: :meth:`refresh_alpha` re-reads a node's ``alpha_flat`` slice
-    when its ``availability_version`` moved, and the planner calls it
-    only for the nodes whose edges it is about to score.  A probe sweep
-    that touches every node therefore costs nothing until a decision's
-    cone reaches the node.  Liveness is *not* stored here — it changes
-    mid-round under fault injection and is masked per :class:`Frontier`.
+    node population changed; a rebuild empties the mirror.  Availability
+    is refreshed per node, not per world, and only for the nodes whose
+    edges the planner is about to score (:meth:`refresh_alpha`).  A fast
+    probe sweep is one entry of the overlay's credit log, so the mirror
+    applies pending entries as ``mat += period`` over the occupied cells
+    and moves those rows' versions with the nodes' — no node is read or
+    settled.  A row is resynced from the node's (settled) views only when
+    the node's own version moved beyond that, i.e. something other than a
+    sweep touched its counters.  The stale nodes' alpha is then one
+    vectorised expression that replays the scalar arithmetic (see
+    :meth:`_alpha_values`), scattered into ``alpha_flat``.  Liveness is
+    *not* stored here — it changes mid-round under fault injection and
+    is masked per :class:`Frontier`.
     """
 
     def __init__(self, overlay: "Overlay") -> None:
@@ -238,7 +259,19 @@ class WorldArrays:
         #: engine bisects it for balanced per-worker child counts.
         self.st_offsets = np.zeros(1, dtype=np.int64)
         self._nbr_versions: Dict[int, int] = {}
-        self._alpha_versions: Dict[int, int] = {}
+        self._credit_log: List[Tuple[float, float]] = getattr(
+            overlay, "_credit_log", []
+        )
+        self._log_mark = len(self._credit_log)
+        self._sess_mat = np.zeros((0, 0), dtype=np.float64)
+        self._sess_occ = np.zeros((0, 0), dtype=bool)
+        self._sess_shared = np.zeros(0, dtype=np.int64)
+        self._sess_ver = np.zeros(0, dtype=np.int64)
+        self._alpha_ver: List[int] = []
+        self._edge_col = np.zeros(0, dtype=np.int64)
+        #: Mirror work done: stale-alpha gathers and row resyncs.
+        self.alpha_gathers = 0
+        self.row_resyncs = 0
         #: O(1) staleness token: (overlay.topology_version, overlay
         #: ``_next_id``, node count) at the last rebuild, trusted only
         #: when every snapshot node's ``_topology_listener`` was wired
@@ -331,10 +364,17 @@ class WorldArrays:
             len(nodes),
         )
         self._build_state_structure()
-        # Alpha slices are laid out per edge; a new layout means every
-        # slice must be re-read.
+        # Alpha slices and mirror rows are laid out per edge and per
+        # dict order; a new layout means every row must be re-read.
         self.alpha_flat = np.zeros(n_edges, dtype=np.float64)
-        self._alpha_versions = {}
+        width = int(deg.max()) if size else 0
+        self._sess_mat = np.zeros((size, width), dtype=np.float64)
+        self._sess_occ = np.zeros((size, width), dtype=bool)
+        self._sess_shared = np.zeros(size, dtype=np.int64)
+        self._sess_ver = np.full(size, -1, dtype=np.int64)
+        self._alpha_ver = [-1] * size
+        self._edge_col = np.zeros(n_edges, dtype=np.int64)
+        self._log_mark = len(self._credit_log)
         self.generation += 1
         self._perf.array_rebuilds += 1
 
@@ -374,34 +414,115 @@ class WorldArrays:
         self.st_child_edge = child_edge
         self.st_child_not_pred = child_ids != pred_rep
 
-    def refresh_alpha(self, node_ids: List[int]) -> None:
-        """Re-read the ``alpha_flat`` slice of every listed node whose
-        ``availability_version`` moved since its slice was last read.
+    # -- session mirror ----------------------------------------------------
+    def _apply_credit_log(self) -> None:
+        """Apply the credit-log entries appended since the last call: the
+        same ``+= period`` each shared node's views will replay, in the
+        same order, so the rows stay bit-identical to the settled views."""
+        log = self._credit_log
+        end = len(log)
+        mark = self._log_mark
+        if mark == end:
+            return
+        mat = self._sess_mat
+        occ = self._sess_occ
+        for period, _now in log[mark:end]:
+            np.add(mat, period, out=mat, where=occ)
+        self._sess_ver += (end - mark) * self._sess_shared
+        self._log_mark = end
 
-        Callers pass only nodes that own at least one edge.  The values
-        are each node's own cached normalisation: these are the exact
-        floats the scalar backend scores with (re-summing in numpy would
-        round differently).
-        """
+    def _sync_rows(self, rows: np.ndarray, vers: np.ndarray) -> None:
+        """Resync the listed rows whose recorded version is not the
+        node's current one (``vers``) from the node's settled views."""
+        moved = self._sess_ver[rows] != vers
+        if not moved.any():
+            return
+        rows = rows[moved]
         nodes = self.overlay.nodes
-        avers = self._alpha_versions
-        starts = self.starts
-        nbr_lists = self.nbr_lists
-        alpha = self.alpha_flat
-        refreshed = False
+        log = self._credit_log
+        ids: List[int] = []
+        vals: List[float] = []
+        lens: List[int] = []
+        shared: List[bool] = []
+        for nid in rows.tolist():
+            node = nodes[nid]
+            node._settle_credits()
+            views = node.neighbors
+            ids.extend(views)
+            vals.extend([v._session_time for v in views.values()])
+            lens.append(len(views))
+            shared.append(node._credit_log is log)
+        d = np.array(lens, dtype=np.int64)
+        is_shared = np.array(shared, dtype=bool)
+        # Row r's k-th counter (dict order) goes to column k.
+        cell_row = np.repeat(rows, d)
+        cell_seg = np.repeat(np.arange(rows.size, dtype=np.int64), d)
+        first = np.repeat(np.cumsum(d) - d, d)
+        cell_col = np.arange(cell_row.size, dtype=np.int64) - first
+        self._sess_mat[rows] = 0.0
+        self._sess_mat[cell_row, cell_col] = vals
+        self._sess_occ[rows] = False
+        self._sess_occ[cell_row, cell_col] = np.repeat(is_shared, d)
+        self._sess_shared[rows] = is_shared
+        self._sess_ver[rows] = vers[moved]
+        # The CSR lists each row's neighbours ascending: sorting each
+        # row's cells by id gives, per edge, its column in dict order.
+        by_id = np.lexsort((np.array(ids, dtype=np.int64), cell_seg))
+        self._edge_col[_segments(self.indptr[rows], d)[0]] = by_id - first
+        self.row_resyncs += int(rows.size)
+
+    def _alpha_values(
+        self, rows: np.ndarray, row_of_edge: np.ndarray, cols: np.ndarray
+    ) -> np.ndarray:
+        """Alpha per edge from mirror ``rows``, replaying the scalar
+        normalisation step for step: the total accumulates the columns
+        left to right from 0.0 (float addition is order-sensitive;
+        padding adds an exact +0.0), each counter is divided by it, and
+        a row whose total is <= 0 gives zeros."""
+        tot = np.zeros(rows.shape[0], dtype=np.float64)
+        for j in range(rows.shape[1]):
+            tot += rows[:, j]
+        t = tot[row_of_edge]
+        out = np.zeros(t.size, dtype=np.float64)
+        np.divide(rows[row_of_edge, cols], t, out=out, where=t > 0.0)
+        self.alpha_gathers += 1
+        return out
+
+    def refresh_alpha(self, node_ids: List[int]) -> None:
+        """Bring the ``alpha_flat`` slice of every listed node up to date
+        with its ``availability_version``.
+
+        Callers pass only nodes that own at least one edge, with the
+        topology fresh.  The values are bit-identical to each node's own
+        cached normalisation — the floats the scalar backend scores with.
+        """
+        self._apply_credit_log()
+        nodes = self.overlay.nodes
+        aver = self._alpha_ver
+        stale: List[int] = []
+        vers: List[int] = []
         for nid in node_ids:
             node = nodes[nid]
-            ver = node.availability_version
-            if avers.get(nid) == ver:
-                continue
-            lst = nbr_lists[nid]
-            av = node.availability_vector()
-            start = starts[nid]
-            alpha[start : start + len(lst)] = [av[j] for j in lst]
-            avers[nid] = ver
-            refreshed = True
-        if refreshed:
-            self._perf.array_rebuilds += 1
+            # ``availability_version``, inlined: this check runs for
+            # every node a decision scores.
+            ver = node._avail_mutations + len(node._credit_log)
+            if aver[nid] != ver:
+                stale.append(nid)
+                vers.append(ver)
+        if not stale:
+            return
+        rows = np.array(stale, dtype=np.int64)
+        self._sync_rows(rows, np.array(vers, dtype=np.int64))
+        deg = self.deg[rows]
+        edges = _segments(self.indptr[rows], deg)[0]
+        self.alpha_flat[edges] = self._alpha_values(
+            self._sess_mat[rows],
+            np.repeat(np.arange(rows.size, dtype=np.int64), deg),
+            self._edge_col[edges],
+        )
+        for nid, ver in zip(stale, vers):
+            aver[nid] = ver
+        self._perf.array_rebuilds += 1
 
 
 def spne_state_validity(

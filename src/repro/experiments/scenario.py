@@ -753,7 +753,7 @@ def _run_scenario(config: ExperimentConfig, phases: _PhaseSpans) -> ScenarioResu
     # Swap the builder's lazily-created world/planner for the shared-
     # memory pair *before* the first decision touches them; everything
     # downstream (histories via their sink, ledger balances, the
-    # prober's fast-sweep mirror, the event loop's interrupt poll) then
+    # prober's round counter, the event loop's interrupt poll) then
     # routes through the engine.  Decisions stay bit-identical to the
     # single-process numpy path for any shard count.
     shard_engine = None
@@ -780,7 +780,6 @@ def _run_scenario(config: ExperimentConfig, phases: _PhaseSpans) -> ScenarioResu
         shard_engine.bind_histories(histories)
         if bank is not None:
             shard_engine.bind_ledger(bank.ledger)
-        prober.sweep_listener = shard_engine.world.on_fast_sweep
         # The prober is the only mutator of availability counters
         # outside topology/liveness changes; its round counter lets the
         # world skip the per-node version scan between probe periods.

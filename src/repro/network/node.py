@@ -13,17 +13,27 @@ The normalisation is the routing hot path's per-candidate cost: edge
 scoring consults ``alpha`` for every candidate of every hop, and a naive
 implementation re-sums the whole neighbour set each time (O(d) per
 lookup, O(d^2) per decision).  :class:`PeerNode` therefore caches the
-normalised vector and invalidates it with a dirty flag whenever a
-counter or the neighbour set changes; every mutation path — probe
-credits, direct ``session_time`` assignment, neighbour add/remove/reset
-— funnels through the invalidation, so the cache can never go stale.
+normalised vector, stamped with the ``availability_version`` it was
+computed at, and rebuilds it when the version has moved.  The version
+is the node's own mutation count (probe credits, direct
+``session_time`` assignment, neighbour add/remove/reset) plus the
+length of its *credit log*.
+
+A steady-state probe sweep credits every view of every node by the same
+``T`` (see :func:`repro.network.probing.fast_full_sweep`).  Rather than
+write ``N*d`` views, the sweep appends one ``(T, now)`` entry to the log
+the overlay shares with its nodes; each node replays the entries it has
+not applied yet, in order and with the same ``+= T``, the first time
+anything reads or writes one of its counters (``_settle_credits``).
+The counters are therefore bit-identical to crediting at sweep time,
+and a node nothing reads between sweeps costs nothing.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.sim.monitoring import PERF
 
@@ -39,13 +49,15 @@ class NodeState(enum.Enum):
 class NeighborView:
     """What a node knows about one neighbour.
 
-    ``session_time`` is a property so that *any* write — including direct
-    assignment from tests or external estimators — notifies the owning
-    :class:`PeerNode` to invalidate its cached availability
-    normalisation.
+    ``session_time`` and ``last_seen`` are properties.  Every read or
+    write first settles the owning :class:`PeerNode`'s pending probe
+    credits, so a counter is never seen or overwritten out of order, and
+    a ``session_time`` write (including direct assignment from tests or
+    external estimators) also invalidates the owner's cached
+    availability normalisation.
     """
 
-    __slots__ = ("node_id", "last_seen", "_session_time", "_on_change")
+    __slots__ = ("node_id", "_last_seen", "_session_time", "_owner")
 
     def __init__(
         self,
@@ -54,39 +66,58 @@ class NeighborView:
         last_seen: Optional[float] = None,
     ):
         self.node_id = node_id
-        #: Simulation time of the last successful probe (None = never probed).
-        self.last_seen = last_seen
-        self._on_change: Optional[Callable[[], None]] = None
+        self._owner: Optional["PeerNode"] = None
         if session_time < 0:
             raise ValueError(f"negative session_time {session_time}")
         self._session_time = session_time
+        self._last_seen = last_seen
+
+    def _settle(self) -> None:
+        owner = self._owner
+        if owner is not None and owner._credit_mark != len(owner._credit_log):
+            owner._settle_credits()
 
     @property
     def session_time(self) -> float:
         """Observed cumulative session time (probing counter), minutes."""
+        self._settle()
         return self._session_time
 
     @session_time.setter
     def session_time(self, value: float) -> None:
         if value < 0:
             raise ValueError(f"negative session_time {value}")
+        self._settle()
         self._session_time = value
-        if self._on_change is not None:
-            self._on_change()
+        if self._owner is not None:
+            self._owner._invalidate_availability()
+
+    @property
+    def last_seen(self) -> Optional[float]:
+        """Simulation time of the last successful probe (None = never probed)."""
+        self._settle()
+        return self._last_seen
+
+    @last_seen.setter
+    def last_seen(self, value: Optional[float]) -> None:
+        self._settle()
+        self._last_seen = value
 
     def __repr__(self) -> str:
         return (
             f"NeighborView(node_id={self.node_id}, "
-            f"session_time={self._session_time}, last_seen={self.last_seen})"
+            f"session_time={self.session_time}, last_seen={self.last_seen})"
         )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NeighborView):
             return NotImplemented
+        self._settle()
+        other._settle()
         return (
             self.node_id == other.node_id
             and self._session_time == other._session_time
-            and self.last_seen == other.last_seen
+            and self._last_seen == other._last_seen
         )
 
 
@@ -114,16 +145,25 @@ class PeerNode:
     total_session_time: float = 0.0
     _session_start: Optional[float] = None
     #: --- availability cache (see module docstring) ---------------------
-    _avail_dirty: bool = field(default=True, repr=False)
+    #: ``availability_version`` at which ``_avail_vector`` was computed.
+    _avail_stamp: int = field(default=-1, repr=False, compare=False)
     _avail_vector: Dict[int, float] = field(default_factory=dict, repr=False)
-    #: Monotonic change counters consumed by array-backed views
-    #: (:class:`repro.core.kernels.WorldArrays`): ``availability_version``
-    #: advances on *any* invalidation (probe credits, direct counter
-    #: writes, neighbour-set changes); ``neighbors_version`` advances only
-    #: when the neighbour *set* itself changes.  Observers compare a
-    #: remembered version against the current one to decide whether their
-    #: derived arrays are stale — the versions never wrap or reset.
-    availability_version: int = field(default=0, repr=False)
+    #: Counter writes and neighbour-set changes made through this node.
+    _avail_mutations: int = field(default=0, repr=False, compare=False)
+    #: Uniform probe credits ``(period, now)`` owed to every view.  A
+    #: node made by :meth:`repro.network.overlay.Overlay.spawn_node`
+    #: shares the overlay's log; a standalone node keeps an empty one.
+    #: ``_credit_mark`` is how much of it the views already hold.
+    _credit_log: List[Tuple[float, float]] = field(
+        default_factory=list, repr=False, compare=False
+    )
+    _credit_mark: int = field(default=0, repr=False, compare=False)
+    #: Monotonic change counter consumed by array-backed views
+    #: (:class:`repro.core.kernels.WorldArrays`): ``neighbors_version``
+    #: advances only when the neighbour *set* itself changes (see
+    #: :attr:`availability_version` for the counters).  Observers compare
+    #: a remembered version against the current one to decide whether
+    #: their derived arrays are stale — the versions never wrap or reset.
     neighbors_version: int = field(default=0, repr=False)
     #: Optional push notification for neighbour-*set* changes, fired on
     #: every ``neighbors_version`` bump.  :class:`repro.network.overlay.
@@ -145,6 +185,31 @@ class PeerNode:
         # availability cache like internally created ones.
         for view in self.neighbors.values():
             self._adopt_view(view)
+
+    @property
+    def availability_version(self) -> int:
+        """Advances on *any* change to the counters: this node's own
+        writes and neighbour-set changes, and every entry appended to its
+        credit log (so once per fast probe sweep)."""
+        return self._avail_mutations + len(self._credit_log)
+
+    def _settle_credits(self) -> None:
+        """Replay the pending credit-log entries onto every view, in
+        order, with the eager sweep's ``+= period`` and ``last_seen =
+        now`` — so the counters are bit-identical to crediting at sweep
+        time.  Every path that reads or writes a counter calls this
+        first."""
+        log = self._credit_log
+        end = len(log)
+        if self._credit_mark == end:
+            return
+        pending = log[self._credit_mark : end]
+        self._credit_mark = end
+        views = self.neighbors.values()
+        for period, now in pending:
+            for view in views:
+                view._session_time += period
+                view._last_seen = now
 
     # -- lifecycle -------------------------------------------------------
     @property
@@ -200,8 +265,7 @@ class PeerNode:
 
     # -- neighbour management ---------------------------------------------
     def _invalidate_availability(self) -> None:
-        self._avail_dirty = True
-        self.availability_version += 1
+        self._avail_mutations += 1
 
     def _bump_neighbors_version(self) -> None:
         self.neighbors_version += 1
@@ -209,7 +273,7 @@ class PeerNode:
             self._topology_listener()
 
     def _adopt_view(self, view: NeighborView) -> NeighborView:
-        view._on_change = self._invalidate_availability
+        view._owner = self
         return view
 
     def set_neighbors(self, node_ids: Iterable[int]) -> None:
@@ -219,6 +283,7 @@ class PeerNode:
             raise ValueError("a node cannot neighbour itself")
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate neighbour ids")
+        self._settle_credits()
         self.neighbors = {i: self._adopt_view(NeighborView(node_id=i)) for i in ids}
         self._bump_neighbors_version()
         self._invalidate_availability()
@@ -229,6 +294,7 @@ class PeerNode:
             raise ValueError("a node cannot neighbour itself")
         if node_id in self.neighbors:
             raise ValueError(f"{node_id} already a neighbour of {self.node_id}")
+        self._settle_credits()
         self.neighbors[node_id] = self._adopt_view(
             NeighborView(node_id=node_id, session_time=initial_session_time)
         )
@@ -238,6 +304,7 @@ class PeerNode:
     def remove_neighbor(self, node_id: int) -> None:
         if node_id not in self.neighbors:
             raise KeyError(f"{node_id} is not a neighbour of {self.node_id}")
+        self._settle_credits()
         del self.neighbors[node_id]
         self._bump_neighbors_version()
         self._invalidate_availability()
@@ -249,20 +316,8 @@ class PeerNode:
         self, neighbor_id: int, delta: float, now: Optional[float] = None
     ) -> None:
         """Probe bookkeeping: grow a live neighbour's counter by ``delta``
-        (the probing period ``T``) and stamp ``last_seen``.
-
-        The prober's per-period update path; funnels through the
-        ``session_time`` property so the cached availability normalisation
-        is invalidated exactly once per credit.
-        """
-        if delta < 0:
-            raise ValueError(f"negative probe credit {delta}")
-        view = self.neighbors.get(neighbor_id)
-        if view is None:
-            raise KeyError(f"{neighbor_id} is not a neighbour of {self.node_id}")
-        view.session_time += delta
-        if now is not None:
-            view.last_seen = now
+        (the probing period ``T``) and stamp ``last_seen``."""
+        self.credit_session_times((neighbor_id,), delta, now=now)
 
     def credit_session_times(
         self, neighbor_ids: Iterable[int], delta: float, now: Optional[float] = None
@@ -270,11 +325,11 @@ class PeerNode:
         """Batched probe bookkeeping: grow several live neighbours'
         counters by ``delta`` with a *single* cache invalidation.
 
-        Per-view float updates are the same ``+= delta`` the per-call
-        path performs (bit-identical counters); only the invalidation is
-        coalesced, which the dirty flag makes equivalent to invalidating
-        after every write.  Membership is validated before any counter
-        moves, so a bad id leaves the node untouched.
+        Per-view float updates are the same ``+= delta`` a one-at-a-time
+        credit performs (bit-identical counters); only the invalidation
+        is coalesced, which the version stamp makes equivalent to
+        invalidating after every write.  Membership is validated before
+        any counter moves, so a bad id leaves the node untouched.
         """
         if delta < 0:
             raise ValueError(f"negative probe credit {delta}")
@@ -286,15 +341,17 @@ class PeerNode:
                     f"{neighbor_id} is not a neighbour of {self.node_id}"
                 )
             views.append(view)
+        if not views:
+            return
+        self._settle_credits()
         for view in views:
             view._session_time += delta
             if now is not None:
-                view.last_seen = now
-        if views:
-            self._invalidate_availability()
+                view._last_seen = now
+        self._invalidate_availability()
 
     # -- availability estimate (§2.3) --------------------------------------
-    def _refresh_availability(self) -> Dict[int, float]:
+    def _refresh_availability(self, stamp: int) -> Dict[int, float]:
         """Rebuild the cached ``id -> alpha`` normalisation (O(d))."""
         total = 0.0
         for v in self.neighbors.values():
@@ -305,7 +362,7 @@ class PeerNode:
             self._avail_vector = {
                 i: v._session_time / total for i, v in self.neighbors.items()
             }
-        self._avail_dirty = False
+        self._avail_stamp = stamp
         return self._avail_vector
 
     def availability(self, neighbor_id: int) -> float:
@@ -328,9 +385,13 @@ class PeerNode:
         **read-only** — it is shared until the next invalidation (the
         routing layer only ever does ``.get`` lookups on it).
         """
-        if self._avail_dirty:
+        log = self._credit_log
+        if self._credit_mark != len(log):
+            self._settle_credits()
+        stamp = self._avail_mutations + len(log)
+        if self._avail_stamp != stamp:
             self._perf.availability_cache_misses += 1
-            return self._refresh_availability()
+            return self._refresh_availability(stamp)
         self._perf.availability_cache_hits += 1
         return self._avail_vector
 

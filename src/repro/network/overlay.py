@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -55,6 +55,12 @@ class Overlay:
     #: must detect (:meth:`repro.core.kernels.WorldArrays` falls back to
     #: the per-node version scan unless every snapshot node was wired).
     topology_version: int = field(default=0, repr=False)
+    #: One ``(period, now)`` entry per steady-state probe sweep, shared
+    #: with every node made by :meth:`spawn_node`; each node settles the
+    #: entries lazily (see :mod:`repro.network.node`).
+    _credit_log: List[Tuple[float, float]] = field(
+        default_factory=list, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.degree < 1:
@@ -77,6 +83,8 @@ class Overlay:
             participation_cost=participation_cost,
         )
         node._topology_listener = self._on_topology_change
+        node._credit_log = self._credit_log
+        node._credit_mark = len(self._credit_log)
         self._next_id += 1
         self.nodes[node.node_id] = node
         return node
@@ -214,7 +222,12 @@ class Overlay:
         # positions that drawing from the pool array itself would.  Pool
         # position p is sorted position p + #{j : skips[j] - j <= p}.
         shifted = [pos - j for j, pos in enumerate(skips)]
-        picks = self.rng.choice(pool, size=k, replace=False).tolist()
+        if k == 1:
+            # One bounded integer: the same pick and generator state as
+            # ``choice(pool, 1, replace=False)``, without its setup cost.
+            picks = [int(self.rng.integers(pool))]
+        else:
+            picks = self.rng.choice(pool, size=k, replace=False).tolist()
         return [ids[p + bisect.bisect_right(shifted, p)] for p in picks]
 
     def random_online_peer(self, exclude: Optional[Iterable[int]] = None) -> Optional[int]:

@@ -13,7 +13,7 @@ counter, exactly as the paper specifies for newly found neighbours.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -24,33 +24,64 @@ from repro.sim.engine import Environment
 from repro.sim.faults import FaultInjector, RetryPolicy
 
 
+class _ProbeDraws:
+    """The fault stream's uniforms for one node's probes, in blocks.
+
+    Within a synchronous probe round nothing else draws from the fault
+    stream, so attempts may take their uniforms from blocks instead of
+    one scalar draw each.  Every live probe makes at least one attempt,
+    so a block is never larger than the attempt in hand plus one per
+    live probe still to start (``pending``): the round never over-draws
+    and leaves the stream where per-attempt draws would.
+    """
+
+    __slots__ = ("injector", "pending", "_block", "_pos")
+
+    def __init__(self, injector: FaultInjector, live: int) -> None:
+        self.injector = injector
+        self.pending = live
+        self._block: List[float] = []
+        self._pos = 0
+
+    def timed_out(self) -> bool:
+        """Does the next probe attempt time out?"""
+        if self._pos == len(self._block):
+            self._block = self.injector.probe_draws(self.pending + 1)
+            self._pos = 0
+            if not self._block:
+                return False  # probes never time out: nothing is drawn
+        u = self._block[self._pos]
+        self._pos += 1
+        return self.injector.probe_timed_out(u)
+
+
 def _probe_alive(
-    injector: "Optional[FaultInjector]",
+    draws: _ProbeDraws,
     retry: "Optional[RetryPolicy]",
-    bus: "Optional[EventBus]" = None,
-    prober_id: "Optional[int]" = None,
-    neighbor: "Optional[int]" = None,
+    bus: "Optional[EventBus]",
+    prober_id: int,
+    neighbor: int,
 ) -> bool:
     """One fault-aware liveness check of an *actually live* neighbour.
 
-    Without an injector the probe always succeeds.  With one, the first
-    attempt may time out; the retry policy then governs how many re-probes
-    are sent before the neighbour is (wrongly) declared dead.  Probes are
-    sub-second traffic against minute-scale periods, so retries cost no
-    simulated time — only randomness and counters.
+    The first attempt may time out; the retry policy then governs how
+    many re-probes are sent before the neighbour is (wrongly) declared
+    dead.  Probes are sub-second traffic against minute-scale periods,
+    so retries cost no simulated time — only randomness and counters.
 
     ``bus`` (when given) records each re-probe as ``probe.retry`` and the
     final false declaration as ``probe.timeout``; ``node`` on both events
     is the probed *neighbour*, ``prober`` in the data is the probing peer.
     """
-    if injector is None or not injector.probe_times_out():
+    draws.pending -= 1
+    if not draws.timed_out():
         return True
     if retry is not None:
         for _ in range(retry.max_retries):
-            injector.stats.probe_retries += 1
+            draws.injector.stats.probe_retries += 1
             if bus is not None:
                 bus.emit("probe.retry", node=neighbor, prober=prober_id)
-            if not injector.probe_times_out():
+            if not draws.timed_out():
                 return True
     if bus is not None:
         bus.emit("probe.timeout", node=neighbor, prober=prober_id)
@@ -138,19 +169,25 @@ def run_probe_round(
             dead += 1
             replaced += replace_one(nbr_id)
     elif fault_injector is not None:
-        for nbr_id in list(node.neighbors):
-            if overlay.is_online(nbr_id) and _probe_alive(
-                fault_injector, retry, bus=bus, prober_id=node_id, neighbor=nbr_id
-            ):
-                # Route the counter update through the node so its cached
-                # availability normalisation is invalidated.
-                node.credit_session_time(nbr_id, period, now=now)
-                alive += 1
+        # Liveness cannot change within the round (replacements are
+        # drawn from the online set), so the live probes are counted
+        # up front and their attempts draw the fault stream in blocks.
+        probed = list(node.neighbors)
+        up = [overlay.is_online(nbr_id) for nbr_id in probed]
+        draws = _ProbeDraws(fault_injector, sum(up))
+        credited = []
+        for nbr_id, online in zip(probed, up):
+            if online and _probe_alive(draws, retry, bus, node_id, nbr_id):
+                credited.append(nbr_id)
             else:
-                if overlay.is_online(nbr_id):
+                if online:
                     timed_out += 1  # live neighbour lost to probe timeouts
                 dead += 1
                 replaced += replace_one(nbr_id)
+        # Credits touch only views that stay, so one batch after the
+        # replacements leaves the same counters as crediting in place.
+        node.credit_session_times(credited, period, now=now)
+        alive = len(credited)
     # Top up if the set shrank below the target degree in earlier rounds.
     if replace_dead:
         while len(node.neighbors) < node.degree:
@@ -170,28 +207,29 @@ def fast_full_sweep(overlay: Overlay, period: float, now: float) -> "Optional[di
 
     Under those preconditions every probe of every node succeeds, no
     neighbour is replaced, no top-up runs and **no RNG is drawn** — the
-    sweep reduces to "credit every neighbour view by ``period`` and
-    invalidate each node's availability cache once", which is exactly
-    what :func:`run_probe_round`'s fast path does per node, minus the
-    per-node staging.  Returns the sweep totals, or ``None`` when the
-    preconditions do not hold (caller falls back to the per-node loop).
-    Eligibility is checked over the whole population *before* any
-    counter moves, so a ``None`` return leaves the overlay untouched.
+    sweep reduces to "credit every neighbour view by ``period`` and stamp
+    it with ``now``".  It records exactly that as one entry of the
+    overlay's credit log and writes no view: each node replays the entry
+    the next time one of its counters is read or written (see
+    :mod:`repro.network.node`).  That needs every node to share the
+    overlay's log, so a node inserted without :meth:`Overlay.spawn_node`
+    also makes the sweep ineligible.  Returns the sweep totals, or
+    ``None`` when a precondition fails (caller falls back to the
+    per-node loop); eligibility is checked over the whole population
+    *before* the log moves, so a ``None`` return leaves the overlay
+    untouched.
     """
     nodes = overlay.nodes
     if not nodes or overlay.online_count() != len(nodes):
         return None
-    for node in nodes.values():
-        if len(node.neighbors) < node.degree:
-            return None
+    log = overlay._credit_log
     alive = 0
     for node in nodes.values():
-        views = node.neighbors.values()
-        for view in views:
-            view._session_time += period
-            view.last_seen = now
-        alive += len(views)
-        node._invalidate_availability()
+        d = len(node.neighbors)
+        if d < node.degree or node._credit_log is not log:
+            return None
+        alive += d
+    log.append((period, now))
     return {
         "alive": alive,
         "dead": 0,
@@ -226,10 +264,6 @@ class ActiveProber:
     #: tracer one ``probe.sweep`` span around the whole sweep.
     bus: "Optional[EventBus]" = None
     tracer: object = NULL_TRACER
-    #: Notified with ``period`` after each :func:`fast_full_sweep` that
-    #: actually ran — the sharded engine mirrors the uniform credit into
-    #: its shared session matrix without re-reading any node object.
-    sweep_listener: "Callable[[float], None] | None" = None
     rounds_run: int = 0
 
     def __post_init__(self):
@@ -251,8 +285,6 @@ class ActiveProber:
                 if swept is not None:
                     probed = swept.pop("probed")
                     totals = swept
-                    if self.sweep_listener is not None:
-                        self.sweep_listener(self.period)
                 else:
                     totals = {"alive": 0, "dead": 0, "replaced": 0, "timed_out": 0}
                     probed = 0

@@ -36,7 +36,7 @@ injector, never the reverse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Optional, Tuple
+from typing import Callable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -316,10 +316,23 @@ class FaultInjector:
     # -- probing faults ----------------------------------------------------
     def probe_times_out(self) -> bool:
         """Does one probe attempt of a live neighbour time out?"""
-        p = self.plan.probe_timeout
-        if p <= 0.0:
+        if self.plan.probe_timeout <= 0.0:
             return False
-        if float(self.rng.random()) < p:
+        return self.probe_timed_out(float(self.rng.random()))
+
+    def probe_draws(self, n: int) -> List[float]:
+        """``n`` uniforms for probe attempts, drawn as one block: the
+        values ``n`` calls of :meth:`probe_times_out` would draw, in
+        order.  Resolve each with :meth:`probe_timed_out`.  Draws nothing
+        when probes never time out."""
+        if self.plan.probe_timeout <= 0.0 or n <= 0:
+            return []
+        return self.rng.random(n).tolist()
+
+    def probe_timed_out(self, u: float) -> bool:
+        """Resolve one probe attempt from its uniform ``u``: counts and
+        emits the timeout exactly as :meth:`probe_times_out` does."""
+        if u < self.plan.probe_timeout:
             self.stats.probe_timeouts += 1
             if self.bus is not None:
                 self.bus.emit("fault.probe_timeout")

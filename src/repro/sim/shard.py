@@ -12,7 +12,7 @@ lives in ``multiprocessing.shared_memory`` segments.  The object layer
 becomes a *view*: histories mirror into the shared hit table through
 their write-through ``sink`` hook, accounts serve their balance from a
 slot in the shared balances array, and availability is maintained in a
-shared per-edge vector refreshed from a session-time matrix.
+shared per-edge vector refreshed whole from the world's session mirror.
 
 **Division of labour (the bit-identity design).**  The coordinator
 process runs the entire event loop: every RNG draw, every Model I and
@@ -353,109 +353,52 @@ class HitTable:
 
 class ShardWorld(WorldArrays):
     """:class:`WorldArrays` whose availability vector lives in shared
-    memory and is refreshed from a vectorised session-time matrix.
+    memory and is refreshed whole from the session mirror.
 
-    The matrix mirrors every node's per-neighbour session counters
-    (columns in each node's *dict* order — the order the scalar
-    normalisation sums in), kept in sync two ways: the prober's
-    :func:`~repro.network.probing.fast_full_sweep` notifies
-    :meth:`on_fast_sweep` (one uniform ``+= period`` over occupied
-    cells, no object re-reads), and any other mutation is detected per
-    node through ``availability_version`` and resynced from the node's
-    views.  The alpha recomputation then replays the scalar expression
-    tree — sequential left-to-right column accumulation for the
-    normaliser, element-wise division, zeros when the total is zero —
-    so the shared vector is bit-identical to what the base class reads
-    out of each node's cached normalisation.
+    The sharded planner scores full rows, so instead of refreshing the
+    slices of the nodes it is about to score, :meth:`ensure_fresh`
+    brings every row of the base class's mirror up to date (credit-log
+    entries applied, rows whose node moved beyond them resynced) and
+    recomputes the whole vector in one expression.
     """
 
     def __init__(self, overlay, engine: "Optional[ShardEngine]" = None) -> None:
         super().__init__(overlay)
         self.engine = engine
-        self._sess_mat = np.zeros((0, 0), dtype=np.float64)
-        self._sess_occ = np.zeros((0, 0), dtype=np.float64)
-        self._sess_ver = np.zeros(0, dtype=np.int64)
-        self._edge_col = np.zeros(0, dtype=np.int64)
-        self._alpha_dirty = False
         self._activity_sources: List[Any] = []
         self._scan_key: Optional[Tuple] = None
+        #: ``_sess_ver`` when the whole vector was last written (None:
+        #: not since the last topology rebuild).
+        self._written_ver: Optional[np.ndarray] = None
 
     def attach_activity_source(self, fn) -> None:
         """Register a zero-arg callable returning a monotone counter
         that moves whenever availability counters might have changed
-        outside the fast-sweep mirror (e.g. ``lambda:
-        prober.rounds_run``).  With at least one source attached, the
-        per-node version scan in :meth:`_refresh_alpha` runs only when
-        a source, the liveness version or the topology generation
-        moved — between those events no code path touches the
+        (e.g. ``lambda: prober.rounds_run``).  With at least one source
+        attached, the per-node version scan in :meth:`_refresh_alpha`
+        runs only when a source, the liveness version or the topology
+        generation moved — between those events no code path touches the
         counters, so skipping the scan is exact, not approximate."""
         self._activity_sources.append(fn)
         self._scan_key = None
 
     def ensure_fresh(self) -> None:
         """Topology, then the whole availability vector from the
-        session-time mirror: the sharded planner scores full rows, so
-        it refreshes every slice at once instead of per scored node."""
+        session mirror."""
         super().ensure_fresh()
         self._refresh_alpha()
 
     # -- topology -------------------------------------------------------
     def _rebuild_topology(self) -> None:
         super()._rebuild_topology()
-        self._build_session_state()
+        self._written_ver = None
         engine = self.engine
         if engine is not None and engine.started:
             engine.publish_topology()
 
-    def _build_session_state(self) -> None:
-        nodes = self.overlay.nodes
-        size = self.size
-        max_deg = 0
-        for node in nodes.values():
-            if len(node.neighbors) > max_deg:
-                max_deg = len(node.neighbors)
-        self._sess_mat = np.zeros((size, max_deg), dtype=np.float64)
-        self._sess_occ = np.zeros((size, max_deg), dtype=np.float64)
-        self._sess_ver = np.full(size, -1, dtype=np.int64)
-        edge_col = np.zeros(self.n_edges, dtype=np.int64)
-        indptr = self.indptr
-        for nid, lst in self.nbr_lists.items():
-            if not lst:
-                continue
-            # Column j of row nid is the node's j-th neighbour in dict
-            # (insertion) order — the order the scalar normaliser sums.
-            cols = {v: j for j, v in enumerate(nodes[nid].neighbors)}
-            start = int(indptr[nid])
-            for i, v in enumerate(lst):
-                edge_col[start + i] = cols[v]
-        self._edge_col = edge_col
-        self._alpha_dirty = True
-
-    # -- session-time mirror --------------------------------------------
-    def on_fast_sweep(self, period: float) -> None:
-        """Mirror a :func:`fast_full_sweep` (uniform ``+= period`` on
-        every neighbour view, one invalidation per node) into the
-        matrix without re-reading any object.  The version array moves
-        in lockstep with each node's ``availability_version`` bump, so
-        rows that were already out of sync stay out of sync (their
-        delta is preserved) and get resynced on the next refresh."""
-        if self._sess_mat.size:
-            self._sess_mat += period * self._sess_occ
-        self._sess_ver += 1
-        self._alpha_dirty = True
-
-    def _resync_row(self, nid: int, node) -> None:
-        row = self._sess_mat[nid]
-        occ = self._sess_occ[nid]
-        row[:] = 0.0
-        occ[:] = 0.0
-        for j, view in enumerate(node.neighbors.values()):
-            row[j] = view._session_time
-            occ[j] = 1.0
-        self._sess_ver[nid] = node.availability_version
-
+    # -- session mirror -------------------------------------------------
     def _refresh_alpha(self) -> None:
-        dirty = self._alpha_dirty
+        self._apply_credit_log()
         scan = True
         if self._activity_sources:
             key = (
@@ -467,26 +410,23 @@ class ShardWorld(WorldArrays):
             self._scan_key = key
         if scan:
             nodes = self.overlay.nodes
-            ver = self._sess_ver
-            for nid, node in nodes.items():
-                if ver[nid] != node.availability_version:
-                    self._resync_row(nid, node)
-                    dirty = True
-        if not dirty:
+            self._sync_rows(
+                np.fromiter(nodes, dtype=np.int64, count=len(nodes)),
+                np.fromiter(
+                    (node.availability_version for node in nodes.values()),
+                    dtype=np.int64,
+                    count=len(nodes),
+                ),
+            )
+        written = self._written_ver
+        if written is not None and np.array_equal(written, self._sess_ver):
             return
-        self._alpha_dirty = False
-        mat = self._sess_mat
-        if mat.size:
-            # Scalar parity: total accumulates left to right over the
-            # dict-ordered counters (float addition is order-sensitive),
-            # padding cells contribute exact +0.0.
-            tot = np.zeros(mat.shape[0], dtype=np.float64)
-            for j in range(mat.shape[1]):
-                tot = tot + mat[:, j]
-            safe = np.where(tot > 0.0, tot, 1.0)
-            alpha = np.where((tot > 0.0)[:, None], mat / safe[:, None], 0.0)
-            if self.n_edges:
-                self.alpha_flat[:] = alpha[self.owner_flat, self._edge_col]
+        if self.n_edges:
+            self.alpha_flat[:] = self._alpha_values(
+                self._sess_mat, self.owner_flat, self._edge_col
+            )
+        self._written_ver = self._sess_ver.copy()
+        self._alpha_ver = self._written_ver.tolist()
         self._perf.array_rebuilds += 1
 
 

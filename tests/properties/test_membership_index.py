@@ -11,7 +11,13 @@ the join-time neighbour draw) before rewiring them all.
 Driven over random membership histories on twin overlays with the same
 seed, the two must pick the same peers, raise the same errors, wire the
 same neighbour sets and leave the generator in the same state.
+
+A single pick draws one bounded integer instead of calling
+``Generator.choice``; ``ChoiceOverlay`` keeps ``choice`` for every ``k``
+so the two can be compared on pools far too large to build.
 """
+
+import bisect
 
 import numpy as np
 import pytest
@@ -62,6 +68,23 @@ class ReferenceOverlay(Overlay):
         for node in created:
             node.set_neighbors(self.sample_peers(wanted, exclude={node.node_id}))
         return created
+
+
+class ChoiceOverlay(Overlay):
+    """Overlay whose discovery draws every pick with ``Generator.choice``,
+    single picks included (the index, mapping and errors are shared)."""
+
+    def sample_peers(self, k, exclude=None):
+        ids = self._online_sorted
+        skips = sorted(
+            bisect.bisect_left(ids, x) for x in set(exclude or ()) if x in self._online
+        )
+        pool = len(ids) - len(skips)
+        if pool < k:
+            raise ValueError(f"cannot sample {k} peers from pool of {pool}")
+        shifted = [pos - j for j, pos in enumerate(skips)]
+        picks = self.rng.choice(pool, size=k, replace=False).tolist()
+        return [ids[p + bisect.bisect_right(shifted, p)] for p in picks]
 
 
 class CountingOverlay(Overlay):
@@ -207,3 +230,40 @@ def test_bootstrap_matches_join_then_rewire(n, degree):
         for ov in (new, ref):
             ov.bootstrap(3, now=1.0)
         assert_twins_agree(new, ref)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.one_of(
+        st.integers(1, 64),
+        st.integers(2**32 - 4, 2**32 + 4),
+        st.just(2**33),
+    ),
+    data=st.data(),
+)
+def test_single_pick_matches_choice_on_both_sides_of_2_32(seed, size, data):
+    """``sample_peers(1)`` draws one bounded integer; ``choice(pool, 1,
+    replace=False)`` picks the same position and leaves the generator in
+    the same state, for pools below, at and above 2**32.  The online
+    index is a ``range``, so a pool of 2**33 ids costs no memory."""
+    new = Overlay(rng=np.random.default_rng(seed))
+    ref = ChoiceOverlay(rng=np.random.default_rng(seed))
+    for ov in (new, ref):
+        ov._online = ov._online_sorted = range(size)
+    exclude = data.draw(
+        st.lists(
+            st.one_of(
+                st.integers(0, min(size, 8) - 1),
+                st.integers(max(size - 8, 0), size - 1),
+                st.integers(0, size - 1),
+                st.integers(size, size + 3),
+            ),
+            max_size=6,
+        ),
+        label="exclude",
+    )
+    for _ in range(20):
+        got = [outcome(lambda ov=ov: ov.sample_peers(1, exclude=exclude)) for ov in (new, ref)]
+        assert got[0] == got[1]
+        assert new.rng.bit_generator.state == ref.rng.bit_generator.state
