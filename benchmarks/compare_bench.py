@@ -27,9 +27,15 @@ compact snapshot into a history file keyed by commit id, so the repo
 root carries a small per-commit record of hot-path timings.
 
 Exit status 1 if any benchmark shared with the baseline is more than
-``threshold`` slower (by mean time).  Benchmarks present on only one
-side are reported but never fail the gate (machines differ; the
-baseline is refreshed whenever the hot path intentionally changes).
+``threshold`` slower (by mean time).  When both reports carry a host
+probe (``machine.host_probe_s``: the best-of-three time of a fixed
+pure-Python loop, recorded by ``benchmarks/conftest.py``), each wall
+ratio is first divided by the current/baseline probe ratio, so a host
+that runs the interpreter 1.3x slower does not read as a 1.3x code
+regression.  A report or baseline without a probe compares unscaled.
+Benchmarks present on only one side are reported but never fail the
+gate (machines differ; the baseline is refreshed whenever the hot path
+intentionally changes).
 ``--no-gate`` skips the comparison (e.g. when only compacting).
 
 The deterministic work counters in ``extra_info`` (``WORK_COUNTERS``)
@@ -90,6 +96,7 @@ def to_compact(data: dict) -> dict:
             "python_version": machine.get("python_version"),
             "cpu": cpu.get("brand_raw"),
             "count": cpu.get("count"),
+            "host_probe_s": machine.get("host_probe_s"),
         },
         "benchmarks": {b["fullname"]: _compact_stats(b) for b in data["benchmarks"]},
     }
@@ -107,12 +114,23 @@ def means(report: dict) -> Dict[str, float]:
     return {name: stats["mean"] for name, stats in report["benchmarks"].items()}
 
 
+def host_scale(report: dict, baseline: dict) -> float:
+    """Current/baseline host probe ratio, or 1.0 unless both have a probe."""
+    probes = [(r.get("machine") or {}).get("host_probe_s") for r in (report, baseline)]
+    if None in probes or probes[1] <= 0:
+        return 1.0
+    return probes[0] / probes[1]
+
+
 def compare(
     current: Dict[str, float],
     baseline: Dict[str, float],
     threshold: float,
     gate_patterns: Optional[List[str]] = None,
+    scale: float = 1.0,
 ) -> int:
+    """Wall-time gate; ``scale`` (see :func:`host_scale`) divides every
+    current/baseline ratio before it meets the threshold."""
     gates = [re.compile(p) for p in gate_patterns or []]
 
     def is_gated(name: str) -> bool:
@@ -120,13 +138,15 @@ def compare(
 
     regressions = []
     width = max((len(n) for n in current), default=0)
+    if scale != 1.0:
+        print(f"host probe: current/baseline = {scale:.3f}; wall ratios divided by it")
     for name in sorted(current):
         mean = current[name]
         base = baseline.get(name)
         if base is None:
             print(f"NEW      {name.ljust(width)}  {mean * 1e3:9.3f} ms (no baseline)")
             continue
-        ratio = mean / base if base > 0 else float("inf")
+        ratio = mean / base / scale if base > 0 else float("inf")
         status = "OK"
         if ratio > 1.0 + threshold:
             if is_gated(name):
@@ -293,7 +313,11 @@ def main(argv=None) -> int:
         return 2
     baseline = load_report(args.baseline)
     timing = compare(
-        means(report), means(baseline), args.threshold, gate_patterns=args.gate_match
+        means(report),
+        means(baseline),
+        args.threshold,
+        gate_patterns=args.gate_match,
+        scale=host_scale(report, baseline),
     )
     work = compare_work(work_counters(report), work_counters(baseline))
     return max(timing, work)

@@ -21,11 +21,20 @@ Two more knobs:
   pytest-benchmark machine-readable report is written there, for
   ``benchmarks/compare_bench.py`` to gate regressions against a stored
   baseline.
+
+The report's ``machine_info`` also carries ``host_probe_s``: the best of
+three timings of a fixed pure-Python loop, taken once per session.
+``compare_bench.py`` divides wall-time ratios by the current/baseline
+probe ratio, so a slower host does not read as a code regression.
 """
 
 import os
+import time
 
 import pytest
+
+#: Iterations of the host speed probe loop.
+HOST_PROBE_LOOPS = 1_000_000
 
 
 def preset() -> str:
@@ -52,6 +61,24 @@ def pytest_configure(config):
     path = os.environ.get("REPRO_BENCH_JSON")
     if path and not getattr(config.option, "benchmark_json", None):
         config.option.benchmark_json = open(path, "wb")
+
+
+def host_probe_s() -> float:
+    """Best-of-three wall seconds of a fixed pure-Python loop: how fast
+    this host runs the interpreter."""
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        acc = 0
+        for i in range(HOST_PROBE_LOOPS):
+            acc += i * i % 7
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+@pytest.hookimpl(optionalhook=True)
+def pytest_benchmark_update_machine_info(config, machine_info):
+    machine_info["host_probe_s"] = host_probe_s()
 
 
 @pytest.fixture(scope="session")

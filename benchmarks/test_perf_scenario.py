@@ -9,15 +9,12 @@ is the one the fast-path caches (indexed selectivity, cached
 availability, shared SPNE memo) accelerate the most.
 """
 
-import os
-import time
 
 import pytest
 
 from repro.core.kernels import BACKENDS, default_backend
 from repro.experiments.config import ChurnConfig, ExperimentConfig
 from repro.experiments.scenario import run_scenario
-from repro.sim.shard import ShardConfig
 
 CFG = ExperimentConfig(
     seed=123,
@@ -135,69 +132,3 @@ def test_perf_scale_ladder(benchmark, n_nodes, backend):
     paths = [tuple(p.nodes) for log in result.series_logs for p in log.paths]
     other = _ladder_paths.setdefault(n_nodes, paths)
     assert paths == other
-
-
-# ---------------------------------------------------------------------------
-# Sharded engine at overlay scale
-# ---------------------------------------------------------------------------
-
-#: The utility-II L3 workload the sharded engine targets: a 5k-node
-#: overlay where the single-process planner's per-edge bisects and
-#: object-layer availability scans dominate.  Churn is disabled so the
-#: timing isolates the routing hot path (the differential property
-#: suite covers churn separately).
-SHARD_CFG = ExperimentConfig(
-    seed=123,
-    n_nodes=5000,
-    n_pairs=16,
-    total_transmissions=160,
-    strategy="utility-II",
-    lookahead=3,
-    use_bank=False,
-    backend="numpy",
-    churn=ChurnConfig(enabled=False),
-)
-
-_shard_reference = {}
-
-
-def _fingerprint(result):
-    paths = tuple(
-        tuple(p.nodes) for log in result.series_logs for p in log.paths
-    )
-    return (paths, result.payoffs, result.earnings, result.degradation)
-
-
-def _reference():
-    """Single-process numpy run of the same workload, computed once per
-    benchmark session: the bit-identity oracle and the speedup
-    denominator."""
-    if "result" not in _shard_reference:
-        t0 = time.perf_counter()
-        result = run_scenario(SHARD_CFG)
-        _shard_reference["wall"] = time.perf_counter() - t0
-        _shard_reference["result"] = _fingerprint(result)
-    return _shard_reference
-
-
-@pytest.mark.parametrize(
-    "n_shards", [1, 4], ids=["5k-nodes,1-shards", "5k-nodes,4-shards"]
-)
-def test_perf_scenario_sharded(benchmark, n_shards):
-    cfg = SHARD_CFG.with_overrides(shard=ShardConfig(n_shards=n_shards))
-    result = benchmark.pedantic(run_scenario, args=(cfg,), rounds=2, iterations=1)
-    # Bit-identity is unconditional: any shard count must reproduce the
-    # single-process numpy run exactly — paths, payoffs, earnings and
-    # degradation counters.
-    ref = _reference()
-    assert _fingerprint(result) == ref["result"]
-    # The batched kernels must be in play on both sides of the fence
-    # (the absorbed worker counters land in the same PERF totals).
-    assert result.perf_counters["kernel_calls"] > 0
-    # The >=2x wall-clock criterion needs the level sweep to actually
-    # run in parallel; on fewer than 4 usable cores the worker compute
-    # serialises and the sharded run can only tie the single-process
-    # path (see docs/PERFORMANCE.md), so the ratio assert is gated on
-    # the cores this process may schedule on.
-    if n_shards >= 4 and len(os.sched_getaffinity(0)) >= 4:
-        assert ref["wall"] / benchmark.stats.stats.min >= 2.0

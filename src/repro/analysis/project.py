@@ -65,7 +65,6 @@ WORKER_ENTRY_POINTS = frozenset(
     {
         "repro.fleet.executor.execute_job",
         "repro.experiments.scenario.run_scenario",
-        "repro.sim.shard.shard_worker_main",
     }
 )
 

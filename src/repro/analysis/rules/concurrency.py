@@ -1,11 +1,10 @@
 """Concurrency / fork-safety rules CONC001-CONC003.
 
-Every open ROADMAP item moves work across a process or task boundary:
-the sharded scenario engine fans world shards over a pool, the fleet
-runner already ships jobs to ``ProcessPoolExecutor`` workers, and the
-live service mode will run the protocol under asyncio.  The failure
-modes that matter there are interprocedural and invisible to per-file
-rules:
+Work crosses process and task boundaries: the fleet runner ships jobs
+to ``ProcessPoolExecutor`` workers, replicate sweeps fan
+``run_scenario`` over a pool (``REPRO_JOBS``), and a service front end
+would run the protocol under asyncio.  The failure modes that matter
+there are interprocedural and invisible to per-file rules:
 
 - CONC001 — a callable submitted to a pool that does not survive the
   trip: lambdas and nested defs do not pickle, and a picklable function

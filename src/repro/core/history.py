@@ -84,16 +84,6 @@ class HistoryProfile:
     #: (:class:`repro.core.kernels.WorldArrays`) compare a remembered
     #: value against this to invalidate derived selectivity arrays.
     version: int = field(default=0, repr=False)
-    #: Optional write-through mirror: an object with
-    #: ``on_record(node_id, cid, round_index, predecessor, successor)``
-    #: and ``on_forget(node_id, cid)``, notified *after* the indices and
-    #: ``version`` are updated.  The sharded engine binds its
-    #: shared-memory hit table here so cumulative per-(cid, edge) entry
-    #: counts stay exactly equal to the ``bisect`` numerators without
-    #: ever re-scanning the dict indices.  Mirrors assume append-only
-    #: histories: binding one to a capacity-bounded profile is rejected
-    #: at bind time (eviction would silently diverge the counts).
-    sink: Optional[object] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.capacity is not None and self.capacity < 1:
@@ -136,10 +126,6 @@ class HistoryProfile:
         bucket.append(rec)
         self._index_add(rec)
         self.version += 1
-        if self.sink is not None:
-            self.sink.on_record(  # type: ignore[attr-defined]
-                self.node_id, cid, round_index, predecessor, successor
-            )
         if self.capacity is not None and len(bucket) > self.capacity:
             evicted = bucket[0 : len(bucket) - self.capacity]
             del bucket[0 : len(bucket) - self.capacity]
@@ -290,8 +276,6 @@ class HistoryProfile:
         self._edge_rounds.pop(cid, None)
         self._pos_rounds.pop(cid, None)
         self.version += 1
-        if self.sink is not None:
-            self.sink.on_forget(self.node_id, cid)  # type: ignore[attr-defined]
 
     # -- attack surface (§5(3)) -----------------------------------------
     def observed_edges(self) -> List[Tuple[int, int, int]]:

@@ -255,8 +255,7 @@ class WorldArrays:
         self.st_child_not_pred = np.zeros(0, dtype=bool)
         #: Unclipped per-state child offsets (``st_offsets[s]`` is the
         #: first flat-child index of state ``s``; length ``n_edges+1``).
-        #: A cone walk gathers a state's children from here; the sharded
-        #: engine bisects it for balanced per-worker child counts.
+        #: A cone walk gathers a state's children from here.
         self.st_offsets = np.zeros(1, dtype=np.int64)
         self._nbr_versions: Dict[int, int] = {}
         self._credit_log: List[Tuple[float, float]] = getattr(
@@ -539,11 +538,10 @@ def spne_state_validity(
     full edge-axis liveness row the children gather from.  Returns the
     per-child ``st_valid`` mask and per-state ``st_dead`` mask.
 
-    This is the single code path for both the whole-axis planner build
-    and the sharded per-worker build: ``logical_or.reduceat`` is
-    order-insensitive within a segment and segments never straddle a
-    range boundary, so any partition of the state axis produces the
-    same masks the whole-axis call produces.
+    The whole-axis sweep and the cone solve both call it:
+    ``logical_or.reduceat`` is order-insensitive within a segment and
+    segments never straddle a range boundary, so any subset of whole
+    states produces the same masks the whole-axis call produces.
     """
     if child_edge.size == 0:
         return np.zeros(0, dtype=bool), np.ones(st_counts.size, dtype=bool)
@@ -579,7 +577,7 @@ def spne_level_step(
     (``base_child`` is the child-axis base quality, already gathered by
     the caller; ``red_idx``/``child_pos`` index the local child axis).
     Results are written into ``out_sum``/``out_n`` (length = states in
-    the range) — for the sharded engine these are shared-memory views.
+    the range).
 
     Bitwise range-decomposition safety: the arithmetic is element-wise,
     ``maximum``/``minimum.reduceat`` are order-insensitive per segment,

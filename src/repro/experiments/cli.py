@@ -89,12 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
              "predecessor differentiation; supported by both backends)",
     )
     run_p.add_argument(
-        "--shards", type=int, default=0, metavar="K",
-        help="run the sharded scenario engine with K worker processes "
-             "(shared-memory world state; bit-identical to --backend "
-             "numpy for any K; 0 = single-process)",
-    )
-    run_p.add_argument(
         "--fault-severity", type=float, default=0.0, metavar="S",
         help="chaos knob in [0, 1): inject drops/crashes/timeouts/outages "
              "scaled by S with retry/backoff recovery (0 = off)",
@@ -206,11 +200,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from repro.obs import ObsConfig
 
         obs_config = ObsConfig()
-    shard = None
-    if args.shards > 0:
-        from repro.sim.shard import ShardConfig
-
-        shard = ShardConfig(n_shards=args.shards)
     cfg = ExperimentConfig(
         seed=args.seed,
         strategy=args.strategy,
@@ -225,7 +214,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         obs=obs_config,
         backend=args.backend,
         position_aware=args.position_aware,
-        shard=shard,
     )
     result = run_scenario(cfg)
     print(result.summary())

@@ -359,36 +359,12 @@ class ExperimentConfig:
     capacity: Optional[CapacityConfig] = None
     #: Sybil colony attacking the token economy.  None = no colony.
     sybil: Optional[SybilConfig] = None
-    #: Sharded scenario engine (``repro.sim.shard``): shared-memory
-    #: world state plus ``n_shards`` worker processes for the SPNE
-    #: level sweeps.  None = single-process.  Bit-identical to the
-    #: numpy backend for any shard count; requires that backend and
-    #: (for now) edge-based selectivity (``position_aware=False``).
-    shard: Optional[object] = None
 
     def __post_init__(self):
         if self.backend is not None:
             from repro.core.kernels import validate_backend
 
             validate_backend(self.backend)
-        if self.shard is not None:
-            from repro.sim.shard import ShardConfig
-
-            if not isinstance(self.shard, ShardConfig):
-                raise ValueError(
-                    f"shard must be a repro.sim.shard.ShardConfig, "
-                    f"got {type(self.shard).__name__}"
-                )
-            if self.backend == "python":
-                raise ValueError(
-                    "the sharded engine requires the numpy backend; "
-                    "backend='python' cannot be sharded"
-                )
-            if self.position_aware:
-                raise ValueError(
-                    "the sharded engine does not support position-aware "
-                    "selectivity yet"
-                )
         if self.n_nodes < 4:
             raise ValueError(f"need at least 4 nodes, got {self.n_nodes}")
         if not 0.0 <= self.malicious_fraction <= 1.0:

@@ -749,43 +749,6 @@ def _run_scenario(config: ExperimentConfig, phases: _PhaseSpans) -> ScenarioResu
         for i, _r in pairs:
             bank.ledger.mint(i, per_pair)
 
-    # ---- sharded engine -------------------------------------------------
-    # Swap the builder's lazily-created world/planner for the shared-
-    # memory pair *before* the first decision touches them; everything
-    # downstream (histories via their sink, ledger balances, the
-    # prober's round counter, the event loop's interrupt poll) then
-    # routes through the engine.  Decisions stay bit-identical to the
-    # single-process numpy path for any shard count.
-    shard_engine = None
-    if config.shard is not None:
-        from repro.sim.shard import ShardEngine
-
-        if builder.backend != "numpy":
-            raise ValueError(
-                f"sharded runs require the numpy backend, "
-                f"got {builder.backend!r}"
-            )
-        shard_max_cids = config.shard.max_cids or (2 * config.n_pairs + 16)
-        shard_engine = ShardEngine(
-            overlay,
-            config.shard.n_shards,
-            config.seed,
-            slack=config.shard.slack,
-            max_cids=shard_max_cids,
-            max_levels=max(config.lookahead, 1),
-        )
-        shard_engine.start()
-        builder._world = shard_engine.world
-        builder._planner = shard_engine.planner
-        shard_engine.bind_histories(histories)
-        if bank is not None:
-            shard_engine.bind_ledger(bank.ledger)
-        # The prober is the only mutator of availability counters
-        # outside topology/liveness changes; its round counter lets the
-        # world skip the per-node version scan between probe periods.
-        shard_engine.world.attach_activity_source(lambda: prober.rounds_run)
-        env.interrupt_check = shard_engine.poll_interrupt
-
     # ---- run the pairs as processes ------------------------------------
     all_series: List[ConnectionSeries] = []
     pairs_done: List[int] = []
@@ -1068,24 +1031,15 @@ def _run_scenario(config: ExperimentConfig, phases: _PhaseSpans) -> ScenarioResu
     t_sim0 = time.perf_counter()  # repro: noqa-DET005 (informational wall timing; never feeds results)
     phases.enter(tracer.span("scenario.simulate"))
     horizon = config.inter_round_gap * (rounds + 2) * 2.0
-    try:
-        while True:
-            env.run(until=env.now + horizon)
-            # Every pair process must have finished (not merely attempted
-            # all rounds): a deferred settlement may still be backing off
-            # through a bank outage after its last round.
-            if len(pairs_done) >= len(pairs) and all(
-                s.rounds_attempted >= rounds for s in all_series
-            ):
-                break
-    finally:
-        # Stop the shard workers on every exit path (including a SIGINT
-        # drain): folds their PERF counters into this process's totals
-        # and unlinks every shared segment before results aggregate.
-        if shard_engine is not None:
-            shard_engine.close()
-            if injector is not None:
-                injector.stats.absorb(shard_engine.worker_degradation)
+    while True:
+        env.run(until=env.now + horizon)
+        # Every pair process must have finished (not merely attempted
+        # all rounds): a deferred settlement may still be backing off
+        # through a bank outage after its last round.
+        if len(pairs_done) >= len(pairs) and all(
+            s.rounds_attempted >= rounds for s in all_series
+        ):
+            break
     phases.exit()
     phase_timings["simulate"] = time.perf_counter() - t_sim0  # repro: noqa-DET005 (informational wall timing; never feeds results)
     phase_timings["settle"] = settle_wall[0]

@@ -17,62 +17,16 @@ class InsufficientFunds(Exception):
     """A debit would overdraw an account."""
 
 
+@dataclass(slots=True)
 class Account:
-    """One peer's balance.
+    """One peer's balance."""
 
-    Normally the balance is a plain float attribute; after
-    :meth:`bind_store` it lives in an external float64 slot (the sharded
-    engine's shared-memory balances array) and the attribute becomes a
-    view.  Python floats and float64 slots are the same IEEE double, so
-    round-tripping through the slot is exact and every arithmetic update
-    (`acct.balance += x`) produces bit-identical values in either mode.
-    """
+    owner: int
+    balance: float = 0.0
 
-    __slots__ = ("owner", "_balance", "_store", "_slot")
-
-    def __init__(self, owner: int, balance: float = 0.0):
-        if balance < 0:
-            raise ValueError(f"negative opening balance {balance}")
-        self.owner = owner
-        self._balance = balance
-        self._store = None
-        self._slot = -1
-
-    @property
-    def balance(self) -> float:
-        if self._store is not None:
-            return float(self._store[self._slot])
-        return self._balance
-
-    @balance.setter
-    def balance(self, value: float) -> None:
-        if self._store is not None:
-            self._store[self._slot] = value
-        else:
-            self._balance = value
-
-    def bind_store(self, store, slot: int) -> None:
-        """Move the balance into ``store[slot]`` and serve it from there."""
-        store[slot] = self._balance
-        self._store = store
-        self._slot = slot
-
-    def unbind_store(self) -> None:
-        """Copy the balance back into the object and detach the store
-        (the sharded engine calls this before unlinking its segments —
-        a bound account must never outlive its backing memory)."""
-        if self._store is not None:
-            self._balance = float(self._store[self._slot])
-            self._store = None
-            self._slot = -1
-
-    def __repr__(self) -> str:
-        return f"Account(owner={self.owner}, balance={self.balance})"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Account):
-            return NotImplemented
-        return self.owner == other.owner and self.balance == other.balance
+    def __post_init__(self) -> None:
+        if self.balance < 0:
+            raise ValueError(f"negative opening balance {self.balance}")
 
 
 @dataclass
@@ -85,56 +39,15 @@ class Ledger:
     minted: float = 0.0
     burned: float = 0.0
     journal: List[Tuple[str, int, float]] = field(default_factory=list)
-    #: Optional external balances array (float64, indexed by owner id).
-    #: When set (see :meth:`bind_balances`), every account's balance
-    #: lives in ``_store[owner]`` — the sharded engine points this at a
-    #: shared-memory region so the authoritative ledger state is
-    #: visible to shard workers without pickling.
-    _store: object = field(default=None, repr=False, compare=False)
 
     def open_account(self, owner: int, opening_balance: float = 0.0) -> Account:
         if owner in self.accounts:
             raise ValueError(f"account {owner} already exists")
         acct = Account(owner=owner, balance=opening_balance)
-        if self._store is not None:
-            self._bind_account(acct)
         self.accounts[owner] = acct
         self.minted += opening_balance
         self.journal.append(("open", owner, opening_balance))
         return acct
-
-    def bind_balances(self, store) -> None:
-        """Move every balance (current and future) into ``store``.
-
-        ``store`` is a float64 array indexed by owner id — accounts
-        opened later bind automatically, so an owner id must stay below
-        ``len(store)`` (the sharded engine sizes the region with slack
-        and treats overflow as a capacity error).
-        """
-        if self._store is not None:
-            raise RuntimeError("ledger balances already bound to a store")
-        self._store = store
-        for acct in self.accounts.values():
-            self._bind_account(acct)
-
-    def unbind_balances(self) -> None:
-        """Inverse of :meth:`bind_balances`: every balance returns to
-        plain attribute storage (bit-identical — both sides are the
-        same IEEE double) and the store is detached."""
-        if self._store is None:
-            return
-        for acct in self.accounts.values():
-            acct.unbind_store()
-        self._store = None
-
-    def _bind_account(self, acct: Account) -> None:
-        store = self._store
-        if acct.owner < 0 or acct.owner >= len(store):  # type: ignore[arg-type]
-            raise ValueError(
-                f"account owner {acct.owner} outside the bound balance "
-                f"store (capacity {len(store)})"  # type: ignore[arg-type]
-            )
-        acct.bind_store(store, acct.owner)
 
     def balance(self, owner: int) -> float:
         return self.accounts[owner].balance

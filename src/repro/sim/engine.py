@@ -41,10 +41,6 @@ class Environment:
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = 0
         self._active_process: Optional[Process] = None
-        #: Optional per-step hook (e.g. the sharded engine's SIGINT
-        #: latch poll).  May raise to abort the run — the exception
-        #: propagates out of :meth:`run` so the caller's cleanup runs.
-        self.interrupt_check: "Optional[Any]" = None
 
     # -- clock ----------------------------------------------------------
     @property
@@ -129,13 +125,8 @@ class Environment:
             stop.callbacks.append(self._stop_cb)
             self.schedule(stop, priority=URGENT, delay=at - self._now)
         try:
-            if self.interrupt_check is None:
-                while True:
-                    self.step()
-            else:
-                while True:
-                    self.interrupt_check()
-                    self.step()
+            while True:
+                self.step()
         except StopSimulation as exc:
             return exc.value
         except EmptySchedule:

@@ -262,18 +262,6 @@ class PerfCounters:
             for name in self._FIELDS
         }
 
-    def absorb(self, snapshot: Dict[str, int]) -> None:
-        """Add another counter set's :meth:`snapshot` into this one.
-
-        Folds counters accumulated elsewhere — a shard worker process,
-        a finished thread — back into this instance.  Unknown keys are
-        ignored so snapshots from older field sets keep merging.
-        """
-        for name in self._FIELDS:
-            inc = snapshot.get(name, 0)
-            if inc:
-                setattr(self, name, getattr(self, name) + inc)
-
 
 class _PerfLocal(threading.local):
     def __init__(self):
@@ -324,9 +312,6 @@ class ThreadLocalPerf:
 
     def delta_since(self, before: Dict[str, int]) -> Dict[str, int]:
         return self._local.counters.delta_since(before)
-
-    def absorb(self, snapshot: Dict[str, int]) -> None:
-        self._local.counters.absorb(snapshot)
 
     def __getattr__(self, name: str):
         return getattr(self._local.counters, name)
@@ -411,14 +396,6 @@ class DegradationCounters:
     def snapshot(self) -> Dict[str, int]:
         """Current values as a plain dict (stable key order)."""
         return {name: getattr(self, name) for name in self._FIELDS}
-
-    def absorb(self, snapshot: Dict[str, int]) -> None:
-        """Add another instance's :meth:`snapshot` into this one (used to
-        fold shard-worker degradation counts into the run's totals)."""
-        for name in self._FIELDS:
-            inc = snapshot.get(name, 0)
-            if inc:
-                setattr(self, name, getattr(self, name) + inc)
 
     def total_faults_injected(self) -> int:
         """Faults actually injected (drop/delay/loss/crash/timeout/denial)."""

@@ -13,40 +13,6 @@ from typing import Dict, Iterator
 
 import numpy as np
 
-#: Spawn-key marker reserving the shard-stream namespace.  Named streams
-#: derive their spawn keys from ``ord(c)`` of a non-empty name, so no
-#: name-derived key ever starts with 0 — shard streams therefore can
-#: never collide with (or perturb) any named stream of the same root.
-_SHARD_SPAWN_MARKER = 0
-
-
-def shard_stream(
-    seed: int, shard_index: int, name: str = "worker"
-) -> np.random.Generator:
-    """The named substream of shard ``shard_index`` under root ``seed``.
-
-    Derivation is *stateless* and keyed by the shard index only — never
-    by the shard count or the worker pool size — so the stream a shard
-    sees is a pure function of ``(seed, shard_index, name)``.  This is
-    the invariance that keeps ``seed -> result`` bit-identical for any
-    ``--shards K`` and any ``--jobs``: re-partitioning the overlay
-    changes *which* shard draws, never *what* a given shard would draw.
-
-    Shard streams live in a spawn-key namespace disjoint from
-    :class:`RandomStreams` named streams (see ``_SHARD_SPAWN_MARKER``),
-    so coordinator-side named streams are unaffected by how many shard
-    streams exist.
-    """
-    if not isinstance(seed, (int, np.integer)):
-        raise TypeError(f"seed must be an int, got {type(seed).__name__}")
-    if not isinstance(shard_index, (int, np.integer)) or shard_index < 0:
-        raise ValueError(f"shard_index must be a non-negative int, got {shard_index!r}")
-    if not isinstance(name, str) or not name:
-        raise ValueError("stream name must be a non-empty string")
-    key = (_SHARD_SPAWN_MARKER, int(shard_index)) + tuple(ord(c) for c in name)
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
-    return np.random.default_rng(ss)
-
 
 class RandomStreams:
     """A factory of named :class:`numpy.random.Generator` substreams.

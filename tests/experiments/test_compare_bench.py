@@ -1,4 +1,5 @@
-"""Exact work-counter gate of ``benchmarks/compare_bench.py``."""
+"""Exact work-counter gate and host-relative wall-time gate of
+``benchmarks/compare_bench.py``."""
 
 import importlib.util
 import json
@@ -15,13 +16,16 @@ LADDER = "benchmarks/test_perf_scenario.py::test_perf_scale_ladder[5000-numpy]"
 THROUGHPUT = "benchmarks/test_perf_scenario.py::test_perf_scenario_throughput[utility-I]"
 
 
-def report(mean=1.0, **extra):
+def report(mean=1.0, probe=None, **extra):
     stats = dict(min=mean, max=mean, mean=mean, stddev=0.0, median=mean, rounds=2, iterations=1)
     ladder = dict(stats, extra_info=dict(simulate_s=mean, **extra))
-    return {
+    data = {
         "schema": compare_bench.COMPACT_SCHEMA,
         "benchmarks": {LADDER: ladder, THROUGHPUT: dict(stats)},
     }
+    if probe is not None:
+        data["machine"] = {"host_probe_s": probe}
+    return data
 
 
 BASE = dict(edges_scored=165385, spne_states_swept=40591)
@@ -75,3 +79,35 @@ def test_work_counters_survive_compaction():
     }
     compact = compare_bench.to_compact(full)
     assert compare_bench.work_counters(compact) == {LADDER: BASE}
+
+
+def test_slower_host_probe_scales_the_wall_gate(tmp_path, capsys):
+    # 1.3x slower code on a host whose probe is 1.3x slower: no regression.
+    current = report(mean=1.3, probe=0.13, **BASE)
+    assert gate(tmp_path, current, report(probe=0.10, **BASE)) == 0
+    assert "host probe: current/baseline = 1.300" in capsys.readouterr().out
+
+
+def test_equal_host_probe_still_fails_a_slowdown(tmp_path, capsys):
+    current = report(mean=1.3, probe=0.10, **BASE)
+    assert gate(tmp_path, current, report(probe=0.10, **BASE)) == 1
+    assert "regressed more than 20%" in capsys.readouterr().err
+
+
+def test_baseline_without_probe_compares_unscaled(tmp_path, capsys):
+    current = report(mean=1.3, probe=0.13, **BASE)
+    assert gate(tmp_path, current, report(**BASE)) == 1
+    out = capsys.readouterr().out
+    assert "host probe" not in out
+    assert "( 1.30x)" in out
+    assert gate(tmp_path, report(mean=1.1, probe=0.13, **BASE), report(**BASE)) == 0
+
+
+def test_host_probe_survives_compaction():
+    full = {
+        "machine_info": {"host_probe_s": 0.12},
+        "benchmarks": [{"fullname": THROUGHPUT, "stats": report()["benchmarks"][THROUGHPUT]}],
+    }
+    compact = compare_bench.to_compact(full)
+    assert compare_bench.host_scale(compact, report(probe=0.10)) == pytest.approx(1.2)
+    assert compare_bench.host_scale(compact, report()) == 1.0
